@@ -87,7 +87,7 @@ decode-smoke:
 # lifecycle/fault narration fires — under the race detector where the
 # recorder runs concurrently.
 obs-smoke:
-	$(GO) test -run 'TestStageProfileBaseline|TestObserverOverheadBaseline' .
+	$(GO) test -run 'TestStageProfileBaseline|TestObserverOverheadBaseline' . -update
 	$(GO) test -race -run 'TestEventLog|TestEventRoundTrip|TestEventJSONCanonical|TestDecodeEventErrors|TestStageTimer|TestHistogramQuantile|TestExportGoldenFiles|TestTracerWraparoundSustained' ./internal/obs/
 	$(GO) test -race -run 'TestStageTiming|TestRunProfile' ./internal/fleet/
 	$(GO) test -race -run 'TestReadyz|TestSessionStatsEndpoint|TestStatsDeliveryLatency|TestLifecycleEvents|TestFaultPathEvents' ./internal/serve/
@@ -135,19 +135,21 @@ drift-smoke:
 		-refit-every 12 -refit-buffer 48 -refit-blend 0.3 \
 		-drift-sweep BENCH_drift.json
 
-# Batched-execution smoke: the bit-identity foundations (packed-modem
-# decision thresholds at every boundary ±1 ulp, bulk normal sampler
-# draw-for-draw against math/rand), the batched determinism wall
-# (batch × workers × scenario digests equal scalar, under the race
-# detector), the zero-allocation pin on the batched group step, and the
-# scaling baseline with its ungated single-core batched-vs-scalar
-# speedup floor (BENCH_fleet.json).
+# Fast-kernel smoke: the bit-identity foundations (packed-modem decision
+# thresholds at every boundary ±1 ulp, each fast kernel against its
+# reference oracle, bulk normal sampler draw-for-draw against math/rand),
+# the determinism wall (batch × workers × scenario digests equal the
+# recorded pins, under the race detector), the zero-allocation pin on
+# Pipeline.Step, the single-core packed-vs-general modem floor, and the
+# worker scaling baseline (BENCH_fleet.json).
 batch-smoke:
-	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical' ./internal/comm/
+	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|FastIdentical|TestPackedModemSpeedupFloor' ./internal/comm/
 	$(GO) test -run 'TestFillNormBitIdentical' ./internal/detrand/
-	$(GO) test -race -run 'TestBatched|TestBatchValidate|TestReceiveScratch' ./internal/fleet/ ./internal/wearable/
-	$(GO) test -run 'TestBatchedStepAllocFree' ./internal/fleet/
-	$(GO) test -run 'TestFleetScalingBaseline' .
+	$(GO) test -run 'FastIdentical' ./internal/neural/
+	$(GO) test -race -run 'TestBatched|TestBatchValidate' ./internal/fleet/
+	$(GO) test -race -run 'TestReceiveFastIdentical|TestReceiveRejectionIsStatic' ./internal/wearable/
+	$(GO) test -run 'TestPipelineStepAllocFree' ./internal/fleet/
+	$(GO) test -run 'TestFleetScalingBaseline' . -update
 
 check: build vet fmt race fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke fuzz-smoke
 

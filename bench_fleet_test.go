@@ -1,22 +1,16 @@
 // The fleet scaling contract: the parallel simulator must produce
-// bit-identical output at every worker count and every batch size while
-// throughput scales with the hardware. TestFleetScalingBaseline
-// measures two curves on the ISSUE-sized 64-implant fleet and writes
-// them to BENCH_fleet.json as the tracked baseline:
-//
-//   - worker scaling (1/2/4/8 workers, scalar execution) — parallelism
-//     across cores, asserted ≥3× at 8 workers where the host has the
-//     cores to express it;
-//   - batch scaling (B ∈ {1, 4, 16, 64}, one worker) — the slab-kernel
-//     speedup on a single core, asserted unconditionally (no core-count
-//     gate: batching needs no extra hardware), with per-stage ns/frame
-//     attribution from the flight recorder for both execution modes.
+// bit-identical output at every worker count while throughput scales
+// with the hardware. TestFleetScalingBaseline measures the worker curve
+// (1/2/4/8 workers) on the 64-implant fleet, asserted ≥3× at 8 workers
+// where the host has the cores to express it, with per-stage ns/frame
+// attribution from the flight recorder, and writes it to
+// BENCH_fleet.json (with -update) as the tracked baseline. The
+// single-core kernel floor lives with the kernel: the comm package's
+// TestPackedModemSpeedupFloor.
 package mindful_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -24,8 +18,8 @@ import (
 	"mindful/internal/obs"
 )
 
-// fleetScalingConfig is the fixed workload of both curves: the
-// ISSUE-sized 64-implant fleet.
+// fleetScalingConfig is the fixed workload of the curve: the 64-implant
+// fleet.
 func fleetScalingConfig() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.Implants = 64
@@ -42,49 +36,12 @@ type fleetScalingBaseline struct {
 	Channels  int    `json:"channels"`
 	// GOMAXPROCS and NumCPU record the parallelism the host could offer;
 	// a flat worker curve on a single-core machine is expected, not a
-	// regression. The batch curve does not depend on them.
+	// regression.
 	GOMAXPROCS int                  `json:"gomaxprocs"`
 	NumCPU     int                  `json:"num_cpu"`
 	Points     []fleet.ScalingPoint `json:"points"`
-	// BatchPoints is the single-worker batch sweep; best-of-three per
-	// size, speedups relative to the B=1 scalar point.
-	BatchPoints []fleet.BatchPoint `json:"batch_points"`
-	// BestBatch is the sweep's fastest batch size and
-	// SingleCoreBatchSpeedup its speedup over scalar on one worker.
-	BestBatch              int     `json:"best_batch"`
-	SingleCoreBatchSpeedup float64 `json:"single_core_batch_speedup"`
-	// StagesScalar and StagesBatched attribute the tick to stages
-	// (ns/frame) for scalar execution and for BestBatch.
-	StagesScalar  []obs.StageStats `json:"stages_scalar"`
-	StagesBatched []obs.StageStats `json:"stages_batched"`
-}
-
-// measureBatchCurve runs the batch sweep reps times and keeps each
-// size's best throughput — wall-clock points this small are noisy, and
-// the curve should record capability, not scheduler luck. Digest
-// equality across sizes is enforced inside every sweep.
-func measureBatchCurve(t *testing.T, cfg fleet.Config, batches []int, reps int) []fleet.BatchPoint {
-	t.Helper()
-	var best []fleet.BatchPoint
-	for rep := 0; rep < reps; rep++ {
-		pts, err := fleet.MeasureBatchSweep(cfg, batches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best == nil {
-			best = pts
-			continue
-		}
-		for i := range pts {
-			if pts[i].FramesPerSecond > best[i].FramesPerSecond {
-				best[i] = pts[i]
-			}
-		}
-	}
-	for i := range best {
-		best[i].Speedup = best[i].FramesPerSecond / best[0].FramesPerSecond
-	}
-	return best
+	// Stages attributes the single-worker tick to stages (ns/frame).
+	Stages []obs.StageStats `json:"stages"`
 }
 
 func TestFleetScalingBaseline(t *testing.T) {
@@ -106,35 +63,17 @@ func TestFleetScalingBaseline(t *testing.T) {
 		t.Logf("workers=%d: %.0f frames/s (%.2fx)", p.Workers, p.FramesPerSecond, p.Speedup)
 	}
 
-	// The batch curve: one worker, best of three sweeps per size.
-	b.BatchPoints = measureBatchCurve(t, cfg, []int{1, 4, 16, 64}, 3)
-	b.BestBatch = b.BatchPoints[0].Batch
-	for _, p := range b.BatchPoints {
-		t.Logf("batch=%d: %.0f frames/s (%.2fx)", p.Batch, p.FramesPerSecond, p.Speedup)
-		if p.Speedup > b.SingleCoreBatchSpeedup {
-			b.BestBatch, b.SingleCoreBatchSpeedup = p.Batch, p.Speedup
-		}
-	}
-
-	// Per-stage attribution for both execution modes, digest-checked
-	// against each other (the profile decorator is digest-neutral and
-	// batching is bit-identical, so all three digests must agree).
-	profScalar, aggScalar, err := fleet.RunProfile(withWorkers(cfg, 1))
+	// Per-stage attribution, digest-checked against the sweep (the
+	// profile decorator is digest-neutral).
+	cfg.Workers = 1
+	prof, agg, err := fleet.RunProfile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedCfg := withWorkers(cfg, 1)
-	batchedCfg.Batch = b.BestBatch
-	profBatched, aggBatched, err := fleet.RunProfile(batchedCfg)
-	if err != nil {
-		t.Fatal(err)
+	if agg.Digest != points[0].Digest {
+		t.Fatalf("profile digest %#x diverged from sweep %#x", agg.Digest, points[0].Digest)
 	}
-	if aggScalar.Digest != aggBatched.Digest || aggScalar.Digest != points[0].Digest {
-		t.Fatalf("profile digests diverged: scalar %#x batched %#x sweep %#x",
-			aggScalar.Digest, aggBatched.Digest, points[0].Digest)
-	}
-	b.StagesScalar = profScalar.Stages
-	b.StagesBatched = profBatched.Stages
+	b.Stages = prof.Stages
 
 	// The parallel-scaling acceptance bound (≥3x at 8 workers) needs at
 	// least 8 cores to be physically measurable; on smaller hosts the
@@ -147,55 +86,19 @@ func TestFleetScalingBaseline(t *testing.T) {
 		}
 	}
 
-	// The batched-execution bound is NOT core-gated — slab kernels on
-	// one core need no extra hardware. The recorded baseline shows ≥3×;
-	// the enforced floor is 2× so shared-runner noise cannot flake the
-	// gate, and it is skipped only under the race detector, whose
-	// instrumentation deliberately distorts exactly what is measured.
-	if !raceEnabled && b.SingleCoreBatchSpeedup < 2 {
-		t.Errorf("single-core batched speedup %.2fx at B=%d, want >= 2x",
-			b.SingleCoreBatchSpeedup, b.BestBatch)
-	}
-
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBaseline(t, "BENCH_fleet.json", b)
 }
 
-func withWorkers(cfg fleet.Config, w int) fleet.Config {
-	cfg.Workers = w
-	return cfg
-}
-
-// BenchmarkFleet measures the fleet simulator across the worker and
-// batch dimensions; ReportAllocs tracks the hot path's per-frame
-// allocation budget (the batched path is pinned to zero steady-state
-// allocations by the fleet package's alloc test).
+// BenchmarkFleet measures the fleet simulator across worker counts;
+// ReportAllocs tracks the hot path's per-frame allocation budget (the
+// step path is pinned to zero steady-state allocations by the fleet
+// package's alloc test).
 func BenchmarkFleet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := fleetScalingConfig()
 			cfg.Ticks = 16
 			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fleet.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, batch := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("workers=1/batch=%d", batch), func(b *testing.B) {
-			cfg := fleetScalingConfig()
-			cfg.Ticks = 16
-			cfg.Workers = 1
-			cfg.Batch = batch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

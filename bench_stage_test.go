@@ -1,11 +1,11 @@
 // The stage flight recorder's tracked baseline: a decode-in-the-loop
 // fleet run with per-stage timing attached must attribute every tick to
 // all four pipeline stages, stay digest-identical to the untimed run,
-// and serialize as BENCH_stage.json. This is the `make obs-smoke` gate.
+// and serialize as BENCH_stage.json (with -update). This is the
+// `make obs-smoke` gate.
 package mindful_test
 
 import (
-	"os"
 	"testing"
 
 	"mindful"
@@ -56,12 +56,5 @@ func TestStageProfileBaseline(t *testing.T) {
 		}
 	}
 
-	f, err := os.Create("BENCH_stage.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := prof.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
+	writeBaseline(t, "BENCH_stage.json", prof)
 }

@@ -25,7 +25,6 @@ import (
 func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 	n := fs.Int("n", 64, "number of implants")
 	workers := fs.Int("workers", 4, "worker goroutines")
-	batch := fs.Int("batch", 0, "implants per worker stepped in tick lockstep through the slab kernels (0 or 1 = scalar)")
 	ticks := fs.Int("ticks", 128, "frames per implant")
 	channels := fs.Int("channels", 32, "channels per implant")
 	qam := fs.Int("qam", 4, "QAM bits per symbol (0 = OOK)")
@@ -49,7 +48,6 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 		cfg := fleet.DefaultConfig()
 		cfg.Implants = *n
 		cfg.Workers = *workers
-		cfg.Batch = *batch
 		cfg.Ticks = *ticks
 		cfg.Channels = *channels
 		cfg.SampleRate = units.Kilohertz(2)
@@ -107,21 +105,17 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 
 // runFleet executes the parallel fleet simulator:
 //
-//	mindful fleet [-n N] [-workers K] [-batch B] [-ticks T] [-channels C]
+//	mindful fleet [-n N] [-workers K] [-ticks T] [-channels C]
 //	              [-qam B] [-ebn0 DB] [-seed S] [-scaling FILE]
-//	              [-batch-sweep FILE]
 //	              [-faults I] [-arq N] [-fec D] [-conceal MODE]
 //	              [-decoder NAME] [-decode-bin T] [-fault-sweep FILE]
 //	              [-drift I] [-drift-epoch T] [-calibrate] [-track] [-adapt]
 //	              [-refit-every N] [-refit-buffer N] [-refit-blend W]
 //	              [-drift-sweep FILE]
 //
-// -batch B steps each worker's shard in groups of B implants in tick
-// lockstep through the slab kernels — bit-identical output, higher
-// single-core throughput. With -scaling FILE it additionally measures
-// the 1/2/4/8-worker throughput curve on the same configuration and
-// writes it as JSON (the BENCH_fleet.json schema); -batch-sweep FILE
-// measures the single-worker B ∈ {1,4,16,64} curve instead. -faults I injects the default fault
+// With -scaling FILE it additionally measures the 1/2/4/8-worker
+// throughput curve on the same configuration and writes it as JSON (the
+// BENCH_fleet.json schema). -faults I injects the default fault
 // profile scaled to intensity I; -arq/-fec/-conceal enable the recovery
 // stack. -decoder attaches a kinematics decoder (kalman, wiener, dnn or
 // fixed) to every implant's wearable, binning received samples every
@@ -141,7 +135,6 @@ func runFleet() error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	build := fleetFlags(fs)
 	scaling := fs.String("scaling", "", "measure the 1/2/4/8-worker scaling curve and write it to FILE")
-	batchSweep := fs.String("batch-sweep", "", "measure the single-worker batch-size curve and write it to FILE")
 	faultSweep := fs.String("fault-sweep", "", "run the degradation sweep and write the curve to FILE")
 	driftSweep := fs.String("drift-sweep", "", "run the frozen-vs-adaptive drift sweep and write the curve to FILE")
 	stageTiming := fs.Bool("stage-timing", false, "attach the per-stage flight recorder and print the ns/frame table")
@@ -221,12 +214,11 @@ func runFleet() error {
 			Implants   int                  `json:"implants"`
 			Ticks      int                  `json:"ticks"`
 			Channels   int                  `json:"channels"`
-			Batch      int                  `json:"batch"`
 			GOMAXPROCS int                  `json:"gomaxprocs"`
 			NumCPU     int                  `json:"num_cpu"`
 			Points     []fleet.ScalingPoint `json:"points"`
 		}{"fleet_worker_scaling", cfg.Implants, cfg.Ticks, cfg.Channels,
-			cfg.Batch, runtime.GOMAXPROCS(0), runtime.NumCPU(), points}
+			runtime.GOMAXPROCS(0), runtime.NumCPU(), points}
 		out, err := json.MarshalIndent(curve, "", "  ")
 		if err != nil {
 			return err
@@ -240,30 +232,6 @@ func runFleet() error {
 		}
 	}
 
-	if *batchSweep != "" {
-		points, err := fleet.MeasureBatchSweep(cfg, []int{1, 4, 16, 64})
-		if err != nil {
-			return err
-		}
-		curve := struct {
-			Benchmark string             `json:"benchmark"`
-			Implants  int                `json:"implants"`
-			Ticks     int                `json:"ticks"`
-			Channels  int                `json:"channels"`
-			Points    []fleet.BatchPoint `json:"batch_points"`
-		}{"fleet_batch_scaling", cfg.Implants, cfg.Ticks, cfg.Channels, points}
-		out, err := json.MarshalIndent(curve, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*batchSweep, append(out, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *batchSweep)
-		for _, p := range points {
-			fmt.Printf("batch=%d: %.0f frames/s (%.2fx)\n", p.Batch, p.FramesPerSecond, p.Speedup)
-		}
-	}
 	return nil
 }
 

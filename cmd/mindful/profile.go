@@ -13,16 +13,13 @@ import (
 // attached and writes the per-stage ns/frame breakdown as JSON (the
 // BENCH_stage.json schema):
 //
-//	mindful profile [-n N] [-workers K] [-batch B] [-ticks T] [-channels C]
+//	mindful profile [-n N] [-workers K] [-ticks T] [-channels C]
 //	                [-qam B] [-ebn0 DB] [-seed S] [-faults I] [-arq N]
 //	                [-fec D] [-conceal MODE] [-decoder NAME] [-decode-bin T]
 //	                [-out FILE]
 //
 // The timing decorator is digest-neutral, so the reported digest matches
-// an untimed `mindful fleet` run of the same configuration. With
-// -batch B the batched columns are timed as units and the elapsed time
-// spread over the implants stepped, so ns/frame stays comparable with
-// the scalar attribution.
+// an untimed `mindful fleet` run of the same configuration.
 func runProfile() error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	build := fleetFlags(fs)
@@ -41,9 +38,6 @@ func runProfile() error {
 	}
 
 	title := fmt.Sprintf("Stage profile: %d implants × %d ticks over %d workers", prof.Implants, prof.Ticks, prof.Workers)
-	if prof.Batch > 1 {
-		title += fmt.Sprintf(" (batch %d)", prof.Batch)
-	}
 	tb := stageTable(title, prof.Stages)
 	fmt.Print(tb.String())
 	fmt.Printf("\ndigest %s  %.0f frames/s over %s\n",

@@ -291,13 +291,26 @@ func (c *AWGNChannel) Transmit(syms []Symbol) []Symbol {
 	return out
 }
 
+// awgnBlock is the symbols TransmitInPlace draws noise for in one bulk
+// pass, sized so the noise vector lives on the stack.
+const awgnBlock = 64
+
 // TransmitInPlace adds noise to the symbols in place — the allocation-free
-// variant for pooled pipelines. The noise sequence is identical to
-// Transmit's for the same channel state.
+// variant for pooled pipelines. Noise is drawn in bulk FillNorm passes of
+// up to awgnBlock symbols, I then Q per symbol: exactly the values and the
+// draw count of successive NormFloat64 calls, so the noise sequence is
+// identical to Transmit's for the same channel state.
 func (c *AWGNChannel) TransmitInPlace(syms []Symbol) {
-	for i := range syms {
-		syms[i].I += c.rng.NormFloat64() * c.sigma
-		syms[i].Q += c.rng.NormFloat64() * c.sigma
+	var noise [2 * awgnBlock]float64
+	sigma := c.sigma
+	for len(syms) > 0 {
+		n := min(len(syms), awgnBlock)
+		c.rng.FillNorm(noise[:2*n])
+		for i := range syms[:n] {
+			syms[i].I += noise[2*i] * sigma
+			syms[i].Q += noise[2*i+1] * sigma
+		}
+		syms = syms[n:]
 	}
 }
 

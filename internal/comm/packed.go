@@ -10,7 +10,7 @@ import "math"
 // and the hard-decision math are the exact float64 expressions of the
 // bit-level qamModem, so a packed round trip is bit-identical to
 // AppendBytesAsBits → AppendModulate → AppendDemodulate →
-// AppendBitsAsBytes (pinned by fast_test.go).
+// AppendBitsAsBytes (pinned by reference_test.go).
 type PackedModem struct {
 	qm      *qamModem
 	group   int       // bits per symbol k

@@ -2,8 +2,10 @@ package comm
 
 import (
 	"math"
+	mathbits "math/bits"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // levelByThreshold is the decision rule AppendDemodulateBytes uses:
@@ -96,5 +98,79 @@ func TestDemodBoundarySymbols(t *testing.T) {
 				t.Fatalf("QAM%d: byte %d: %#x vs %#x", 1<<bits, i, gotBytes[i], refBytes[i])
 			}
 		}
+	}
+}
+
+// TestPackedModemSpeedupFloor pins the kernel that carries most of the
+// fleet's single-core throughput: one 32-channel, 10-bit frame through
+// modulate → AWGN → demodulate → bit-error count, packed 16-QAM against
+// the general Modem path the transport takes for FEC, ARQ and
+// non-packable modulations. Both stay production paths, so the floor
+// guards the packed one against silently losing its edge. Best of
+// several interleaved rounds keeps scheduler noise out; the recorded ratio is
+// ~2.5–3×, the enforced floor 2×. Skipped under the race detector,
+// whose instrumentation distorts exactly what is measured.
+func TestPackedModemSpeedupFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing floor not asserted under the race detector")
+	}
+	p, _ := NewPacketizer(10)
+	frame, err := p.AppendEncode(nil, benchSamples(32, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := NewQAM(4)
+	pm, _ := NewPackedModem(mod)
+	m, err := NewModem(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := NewAWGNChannel(15.8, 1)
+	var (
+		bits, rxBits, rxFrame []byte
+		syms                  []Symbol
+		errs                  int
+	)
+	general := func() {
+		bits = AppendBytesAsBits(bits[:0], frame)
+		syms, _ = m.AppendModulate(syms[:0], bits)
+		ch.TransmitInPlace(syms)
+		rxBits = m.AppendDemodulate(rxBits[:0], syms)
+		for i := range bits {
+			if bits[i] != rxBits[i] {
+				errs++
+			}
+		}
+		rxFrame = AppendBitsAsBytes(rxFrame[:0], rxBits)
+	}
+	packed := func() {
+		syms = pm.AppendModulateBytes(syms[:0], frame)
+		ch.TransmitInPlace(syms)
+		rxFrame = pm.AppendDemodulateBytes(rxFrame[:0], syms)
+		for i := range frame {
+			errs += mathbits.OnesCount8(frame[i] ^ rxFrame[i])
+		}
+	}
+	// Rounds alternate between the paths so a machine-speed swing hits
+	// both; each path keeps its fastest round.
+	timeRound := func(fn func()) time.Duration {
+		const iters = 2000
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			fn()
+		}
+		return time.Since(start) / iters
+	}
+	general()
+	packed()
+	g, pk := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 9; round++ {
+		g = min(g, timeRound(general))
+		pk = min(pk, timeRound(packed))
+	}
+	ratio := float64(g) / float64(pk)
+	t.Logf("general %v/frame, packed %v/frame: %.2fx", g, pk, ratio)
+	if ratio < 2 {
+		t.Errorf("packed 16-QAM path %.2fx faster than the general modem, want >= 2x", ratio)
 	}
 }

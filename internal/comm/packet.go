@@ -139,15 +139,30 @@ func FrameSizeBits(channels, sampleBits int) int {
 	return (frameHeaderLen + payload + 4) * 8
 }
 
-// Decoding errors.
+// Decoding errors. Every rejection is a static sentinel, so a corrupt
+// frame costs no allocation.
 var (
-	ErrShortFrame = errors.New("comm: frame truncated")
-	ErrBadMagic   = errors.New("comm: bad frame magic")
-	ErrBadCRC     = errors.New("comm: frame CRC mismatch")
+	ErrShortFrame    = errors.New("comm: frame truncated")
+	ErrBadMagic      = errors.New("comm: bad frame magic")
+	ErrBadCRC        = errors.New("comm: frame CRC mismatch")
+	ErrBadSampleBits = errors.New("comm: frame sample bits invalid")
+	ErrBadPayloadLen = errors.New("comm: frame payload length mismatch")
+	ErrBadPadding    = errors.New("comm: nonzero payload padding bits")
 )
 
-// Decode parses and verifies one frame produced by Encode.
+// Decode parses and verifies one frame produced by Encode. The returned
+// samples are freshly allocated and owned by the caller.
 func Decode(buf []byte) (Frame, error) {
+	return AppendDecode(nil, buf)
+}
+
+// AppendDecode parses and verifies one frame, appending its samples to
+// dst. The returned Frame's Samples are the appended tail of dst, so a
+// caller that decodes into recycled scratch (dst re-sliced to [:0]) gets
+// samples that alias the scratch and stay valid only until the next call
+// reusing it — the allocation-free receive path. Rejections return a
+// zero Frame and leave dst's contents untouched.
+func AppendDecode(dst []uint16, buf []byte) (Frame, error) {
 	if len(buf) < frameHeaderLen+4 {
 		return Frame{}, ErrShortFrame
 	}
@@ -163,22 +178,20 @@ func Decode(buf []byte) (Frame, error) {
 	bits := int(buf[8])
 	flags := buf[9]
 	if bits < 1 || bits > 16 {
-		return Frame{}, fmt.Errorf("comm: frame sample bits %d invalid", bits)
+		return Frame{}, ErrBadSampleBits
 	}
 	payload := body[frameHeaderLen:]
 	if want := (chans*bits + 7) / 8; len(payload) != want {
-		return Frame{}, fmt.Errorf("comm: payload %d bytes, want %d", len(payload), want)
+		return Frame{}, ErrBadPayloadLen
 	}
 	// Enforce canonical encoding: the final byte's padding bits must be
 	// zero, so every accepted frame re-encodes to the same bytes.
 	if pad := len(payload)*8 - chans*bits; pad > 0 && payload[len(payload)-1]&(1<<pad-1) != 0 {
-		return Frame{}, fmt.Errorf("comm: nonzero payload padding bits")
+		return Frame{}, ErrBadPadding
 	}
-	samples, err := UnpackSamples(payload, chans, bits)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Seq: seq, SampleBits: bits, Samples: samples, Flags: flags}, nil
+	start := len(dst)
+	dst = appendUnpackSamples(dst, payload, chans, bits)
+	return Frame{Seq: seq, SampleBits: bits, Samples: dst[start:], Flags: flags}, nil
 }
 
 // PackSamples packs values at the given bit width, MSB first, padding the
@@ -187,20 +200,25 @@ func PackSamples(samples []uint16, bits int) []byte {
 	return AppendPackSamples(make([]byte, 0, (len(samples)*bits+7)/8), samples, bits)
 }
 
-// AppendPackSamples appends the packed representation of samples to dst.
+// AppendPackSamples appends the packed representation of samples to dst:
+// each sample's low bits bits, MSB first, through a 64-bit accumulator
+// (bits ≤ 16, so it never holds more than 23 pending bits), with the
+// final partial byte left-aligned over zero padding — the canonical
+// encoding Decode enforces.
 func AppendPackSamples(dst []byte, samples []uint16, bits int) []byte {
-	base := len(dst)
-	for n := (len(samples)*bits + 7) / 8; n > 0; n-- {
-		dst = append(dst, 0)
-	}
-	pos := 0
+	mask := uint64(1)<<bits - 1
+	var acc uint64
+	nacc := 0
 	for _, s := range samples {
-		for b := bits - 1; b >= 0; b-- {
-			if s>>b&1 != 0 {
-				dst[base+pos/8] |= 1 << (7 - pos%8)
-			}
-			pos++
+		acc = acc<<bits | uint64(s)&mask
+		nacc += bits
+		for nacc >= 8 {
+			nacc -= 8
+			dst = append(dst, byte(acc>>nacc))
 		}
+	}
+	if nacc > 0 {
+		dst = append(dst, byte(acc<<(8-nacc)))
 	}
 	return dst
 }
@@ -210,18 +228,23 @@ func UnpackSamples(data []byte, count, bits int) ([]uint16, error) {
 	if need := (count*bits + 7) / 8; len(data) < need {
 		return nil, fmt.Errorf("comm: %d bytes too short for %d×%d-bit samples", len(data), count, bits)
 	}
-	out := make([]uint16, count)
-	pos := 0
-	for i := range out {
-		var v uint16
-		for b := 0; b < bits; b++ {
-			v <<= 1
-			if data[pos/8]>>(7-pos%8)&1 != 0 {
-				v |= 1
-			}
-			pos++
+	return appendUnpackSamples(make([]uint16, 0, count), data, count, bits), nil
+}
+
+// appendUnpackSamples appends count bits-wide samples unpacked from data,
+// which must hold at least ceil(count*bits/8) bytes.
+func appendUnpackSamples(dst []uint16, data []byte, count, bits int) []uint16 {
+	var acc uint64
+	nacc, di := 0, 0
+	mask := uint64(1)<<bits - 1
+	for i := 0; i < count; i++ {
+		for nacc < bits {
+			acc = acc<<8 | uint64(data[di])
+			di++
+			nacc += 8
 		}
-		out[i] = v
+		nacc -= bits
+		dst = append(dst, uint16(acc>>nacc&mask))
 	}
-	return out, nil
+	return dst
 }

@@ -8,9 +8,9 @@ import (
 // This file provides FastNormFloat64 and FastFloat64: drop-in samplers
 // that produce bit-identical value streams to math/rand's NormFloat64
 // and Float64 while skipping the rand.Rand wrapper's interface dispatch
-// on every draw. The batched fleet kernels call these in their inner
-// loops; the scalar pipeline keeps using the stock methods, and the
-// determinism walls prove the two paths agree.
+// on every draw. The fleet's sensing and channel kernels call these in
+// their inner loops; their stock-sampler references live on as test
+// oracles, and the determinism walls prove the two agree.
 //
 // Bit identity is not assumed — it is checked. init() rebuilds the
 // ziggurat tables with the same Marsaglia–Tsang recipe math/rand's
@@ -179,8 +179,8 @@ func (s *source) normSlow(j int32, x float64) float64 {
 }
 
 // FillNorm fills dst with exactly the values len(dst) successive
-// NormFloat64 calls would produce — the bulk sampler the AWGN slab
-// kernel draws its per-frame noise vector from. The ziggurat accept
+// NormFloat64 calls would produce — the bulk sampler the AWGN channel
+// draws its per-frame noise vector from. The ziggurat accept
 // path runs inlined with the draw counter accumulated in a register and
 // flushed in batches, so the per-draw cost approaches the raw source
 // step; rejections flush the counter and take the exact slow path.

@@ -4,128 +4,61 @@ import (
 	"testing"
 )
 
-// newBenchGroup builds a batch group of n implants under cfg with every
-// per-implant buffer warmed by a few ticks, mirroring runBatchShard's
-// assembly (timing stripped from the build config, columns assembled
-// against the original).
-func newBenchGroup(tb testing.TB, cfg Config, n int) *batchGroup {
-	tb.Helper()
-	buildCfg := cfg
-	buildCfg.StageTiming = nil
-	ps := make([]*Pipeline, n)
-	for i := 0; i < n; i++ {
-		p, err := NewPipeline(buildCfg, i, 0)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		ps[i] = p
-		tb.Cleanup(p.Close)
-	}
-	g := newBatchGroup(cfg, ps, &batchArena{})
-	for i := 0; i < 64; i++ {
-		if err := g.step(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return g
-}
-
-// TestBatchedStepAllocFree pins the batched hot loop's allocation
-// behavior: once buffers reach steady state, a whole group tick — all
-// columns over all implants — allocates nothing. This is the property
-// the arena, the Append*Fast kernels and the scratch receiver exist
-// for; any regression here silently costs the 3× batched speedup to GC
-// pressure.
-func TestBatchedStepAllocFree(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Implants = 16
-	cfg.Batch = 16
-	g := newBenchGroup(t, cfg, cfg.Implants)
-	avg := testing.AllocsPerRun(200, func() {
-		if err := g.step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("batched group step allocates %.2f times at steady state, want 0", avg)
-	}
-}
-
-// benchmarkBatchedStage times one batched column in isolation: the
-// other columns still run every iteration (the pipeline's state must
-// advance coherently) but outside the timer window. ns/op is the
-// column's cost per group tick; ns/frame divides by the batch size for
-// comparison with the scalar per-implant numbers.
-func benchmarkBatchedStage(b *testing.B, col string) {
-	const n = 16
-	cfg := DefaultConfig()
-	cfg.Implants = n
-	cfg.Batch = n
-	g := newBenchGroup(b, cfg, n)
-	target := -1
-	for i, c := range g.cols {
-		if c.Name() == col {
-			target = i
-		}
-	}
-	if target < 0 {
-		b.Fatalf("no %q column", col)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.StopTimer()
-	for i := 0; i < b.N; i++ {
-		g.beginTick()
-		for j := 0; j < target; j++ {
-			if err := g.cols[j].BatchStep(g.tks); err != nil {
-				b.Fatal(err)
+// TestPipelineStepAllocFree pins the one step path's allocation
+// behavior: once buffers reach steady state, Pipeline.Step allocates
+// nothing — on the default packed-modem config, and on the general
+// modem with every fault process, ARQ, FEC and concealment enabled.
+// This is what the pooled buffers, the Append* kernels and the
+// receiver-owned decode scratch exist for.
+func TestPipelineStepAllocFree(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "harsh": faultConfig()} {
+		t.Run(name, func(t *testing.T) {
+			pl, err := NewPipeline(cfg, 0, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		err := g.cols[target].BatchStep(g.tks)
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := target + 1; j < len(g.cols); j++ {
-			if err := g.cols[j].BatchStep(g.tks); err != nil {
-				b.Fatal(err)
+			defer pl.Close()
+			for i := 0; i < 256; i++ {
+				if err := pl.Step(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
+			avg := testing.AllocsPerRun(500, func() {
+				if err := pl.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("Pipeline.Step allocates %.3f times per tick at steady state, want 0", avg)
+			}
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
 }
 
-func BenchmarkBatchedStageStep(b *testing.B) {
-	b.Run("source", func(b *testing.B) { benchmarkBatchedStage(b, "source") })
-	b.Run("transport", func(b *testing.B) { benchmarkBatchedStage(b, "transport") })
-	b.Run("receiver", func(b *testing.B) { benchmarkBatchedStage(b, "receiver") })
-}
-
-// benchmarkScalarStage is the scalar counterpart: one implant stepped
-// through the ordinary stage list, timing only the named stage.
-func benchmarkScalarStage(b *testing.B, col string) {
-	cfg := DefaultConfig()
-	cfg.Implants = 1
-	p, err := NewPipeline(cfg, 0, 0)
+// benchmarkStage times one stage of a single implant's pipeline: the
+// other stages still run every iteration (the pipeline's state must
+// advance coherently) but outside the timer window.
+func benchmarkStage(b *testing.B, name string) {
+	p, err := NewPipeline(DefaultConfig(), 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(p.Close)
 	target := -1
 	for i, s := range p.stages {
-		if s.Name() == col {
+		if s.Name() == name {
 			target = i
 		}
 	}
 	if target < 0 {
-		b.Fatalf("no %q stage", col)
+		b.Fatalf("no %q stage", name)
 	}
 	for i := 0; i < 64; i++ {
 		if err := p.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,8 +84,8 @@ func benchmarkScalarStage(b *testing.B, col string) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 }
 
-func BenchmarkScalarStageStep(b *testing.B) {
-	b.Run("source", func(b *testing.B) { benchmarkScalarStage(b, "source") })
-	b.Run("transport", func(b *testing.B) { benchmarkScalarStage(b, "transport") })
-	b.Run("receiver", func(b *testing.B) { benchmarkScalarStage(b, "receiver") })
+func BenchmarkStageStep(b *testing.B) {
+	for _, name := range []string{"source", "transport", "receiver"} {
+		b.Run(name, func(b *testing.B) { benchmarkStage(b, name) })
+	}
 }

@@ -11,8 +11,7 @@ import (
 
 // packedFaultConfig returns a scenario that keeps the packed transport
 // eligible (no ARQ, no FEC) while injecting every per-implant fault
-// process — burst link drops, brownouts and electrode faults all ride
-// through the batched columns.
+// process — burst link drops, brownouts and electrode faults.
 func packedFaultConfig() Config {
 	cfg := testConfig()
 	p := fault.DefaultProfile()
@@ -20,13 +19,15 @@ func packedFaultConfig() Config {
 	return cfg
 }
 
-// TestBatchedDeterminismWall is the batched half of the determinism
-// wall: for every scenario — packed fast path, every scalar-fallback
-// trigger (FEC, ARQ, non-packable modulation), faults, drift and the
-// closed decode loop — the batched runner must produce byte-identical
-// aggregates and per-implant results to the scalar reference, for every
-// batch size × worker count, under -race (the tier-1.5 gate runs this
-// file with the race detector).
+// TestBatchedDeterminismWall is the batch half of the determinism wall:
+// for every scenario — packed transport, every general-modem trigger
+// (FEC, ARQ, non-packable modulation), faults, drift and the closed
+// decode loop — the fleet digests must equal the values recorded from
+// the two-runner simulator (scalar per-implant stages plus the batched
+// slab columns) before the runners were folded into Pipeline.Step, and
+// every batch size × worker count must reproduce the reference run's
+// aggregate and per-implant results byte for byte, under -race (the
+// tier-1.5 gate runs this file with the race detector).
 func TestBatchedDeterminismWall(t *testing.T) {
 	drifting := packedFaultConfig()
 	driftProf := driftProfile()
@@ -41,21 +42,22 @@ func TestBatchedDeterminismWall(t *testing.T) {
 	qam64.EbN0dB = 16
 
 	scenarios := []struct {
-		name string
-		cfg  Config
+		name                 string
+		cfg                  Config
+		digest, decodeDigest uint64
 	}{
 		// Packed transport: square QAM, no FEC, no ARQ.
-		{"clean", testConfig()},
+		{"clean", testConfig(), 0x9c84c137f47cd3d1, 0},
 		// Packed transport with every fault process injected.
-		{"faults", packedFaultConfig()},
-		// Packed transport + scalar decode/adapt columns + drift.
-		{"drift_decode", drifting},
-		// Scalar-fallback transport: FEC breaks packed eligibility.
-		{"fec", fecOnly},
-		// Scalar-fallback transport: ARQ + FEC + full fault profile.
-		{"harsh", faultConfig()},
-		// Scalar-fallback transport: 6 bits/symbol does not divide 8.
-		{"qam64", qam64},
+		{"faults", packedFaultConfig(), 0x05967bc2339fd8cb, 0},
+		// Packed transport + decode/adapt stages + drift.
+		{"drift_decode", drifting, 0xefef691357e10e54, 0x2d2bcd34fb04d39f},
+		// General modem: FEC breaks packed eligibility.
+		{"fec", fecOnly, 0xcc1c4db4a7912148, 0},
+		// General modem: ARQ + FEC + full fault profile.
+		{"harsh", faultConfig(), 0xa71d7bb5bb620017, 0},
+		// General modem: 6 bits/symbol does not divide 8.
+		{"qam64", qam64, 0x94a6cdb765fcc300, 0},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -70,8 +72,11 @@ func TestBatchedDeterminismWall(t *testing.T) {
 			if ref.BitErrors == 0 {
 				t.Fatal("operating point produced zero bit errors; the wall would not exercise the noisy path")
 			}
+			if ref.Digest != sc.digest || ref.DecodeDigest != sc.decodeDigest {
+				t.Fatalf("digests %#x/%#x, pinned %#x/%#x", ref.Digest, ref.DecodeDigest, sc.digest, sc.decodeDigest)
+			}
 			want := deterministicFields(ref)
-			for _, batch := range []int{1, 4, 16} {
+			for _, batch := range []int{0, 1, 4, 16} {
 				for _, workers := range []int{1, 2, 4} {
 					batch, workers := batch, workers
 					t.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(t *testing.T) {
@@ -100,9 +105,9 @@ func TestBatchedDeterminismWall(t *testing.T) {
 	}
 }
 
-// TestBatchedStageTiming checks the batched runner's timing attribution:
-// one clock per column, frame counts equal to implants × ticks, and the
-// digest untouched by the decorator.
+// TestBatchedStageTiming checks timing attribution with grouped
+// stepping: one clock per stage, frame counts equal to implants × ticks,
+// and the digest untouched by the decorator.
 func TestBatchedStageTiming(t *testing.T) {
 	cfg := testConfig()
 	ref, err := Run(cfg)
@@ -114,10 +119,7 @@ func TestBatchedStageTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	if agg.Digest != ref.Digest {
-		t.Errorf("timed batched digest %#x != scalar %#x", agg.Digest, ref.Digest)
-	}
-	if prof.Batch != 4 {
-		t.Errorf("profile batch = %d, want 4", prof.Batch)
+		t.Errorf("timed grouped digest %#x != untimed %#x", agg.Digest, ref.Digest)
 	}
 	frames := int64(cfg.Implants * cfg.Ticks)
 	for _, s := range prof.Stages {
@@ -136,9 +138,8 @@ func withBatch(cfg Config, b int) Config {
 }
 
 // TestBatchedCheckpointCompatible pins the serve-path interaction: a
-// pipeline snapshot taken from a scalar run restores and continues
-// identically whether the original fleet ran batched or not — Batch is
-// a runner choice, not simulation state.
+// pipeline snapshot restores and continues identically under a config
+// that groups implants — Batch is a runner choice, not simulation state.
 func TestBatchedCheckpointCompatible(t *testing.T) {
 	cfg := testConfig()
 	cfg.Batch = 4
@@ -178,7 +179,7 @@ func TestBatchedCheckpointCompatible(t *testing.T) {
 	}
 }
 
-// TestBatchValidate pins the new config checks.
+// TestBatchValidate pins the batch-size config checks.
 func TestBatchValidate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Batch = -1

@@ -43,16 +43,19 @@ func stepN(t *testing.T, p *Pipeline, n int) {
 	}
 }
 
-// TestPipelineMatchesRunImplant: a pipeline stepped Ticks times must
-// reproduce runImplant's result exactly — the extraction invariant.
+// TestPipelineMatchesRunImplant: a pipeline stepped Ticks times on its
+// own must reproduce Run's result for that implant exactly — the
+// extraction invariant.
 func TestPipelineMatchesRunImplant(t *testing.T) {
 	for name, cfg := range checkpointConfigs() {
 		t.Run(name, func(t *testing.T) {
+			cfg.Workers = 1
+			agg, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for idx := 0; idx < cfg.Implants; idx++ {
-				want := runImplant(cfg, idx, 0)
-				if want.Err != nil {
-					t.Fatal(want.Err)
-				}
+				want := agg.PerImplant[idx]
 				p, err := NewPipeline(cfg, idx, 0)
 				if err != nil {
 					t.Fatal(err)

@@ -44,12 +44,12 @@ type Config struct {
 	// Workers is the number of concurrent worker goroutines; values < 1
 	// run single-threaded. The result is identical for every value.
 	Workers int
-	// Batch is the number of implants each worker steps in tick lockstep
-	// per stage invocation, over shared structure-of-arrays slabs; values
-	// < 2 run the scalar per-implant path. Every deterministic output —
-	// aggregate and per-implant digests included — is identical for every
-	// value: batching interleaves implants at tick granularity, which
-	// cannot reorder any single implant's per-stream random draws.
+	// Batch is the number of implants each worker steps in groups of
+	// Batch in tick lockstep; values < 2 step one implant at a time. Every
+	// deterministic output — aggregate and per-implant digests included —
+	// is identical for every value: grouping interleaves implants at tick
+	// granularity, which cannot reorder any single implant's per-stream
+	// random draws.
 	Batch int
 	// Ticks is the number of frames each implant transmits.
 	Ticks int
@@ -165,12 +165,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ImplantResult is the outcome of one implant's pipeline.
-type ImplantResult struct {
-	// Index is the implant's position in the fleet.
-	Index int
-	// Worker is the shard (worker goroutine) that ran the pipeline.
-	Worker int
+// Counters is the per-implant accounting Run sums over the fleet. It is
+// embedded in both ImplantResult and Aggregate, so every field reads the
+// same on either (res.Frames, agg.Frames).
+type Counters struct {
 	// Frames is the number of frames transmitted.
 	Frames int64
 	// Accepted, Corrupt and LostSeq are the wearable receiver's frame
@@ -186,8 +184,8 @@ type ImplantResult struct {
 	// LinkDropped frames lost whole by the burst link across all attempts.
 	Blanked     int64
 	LinkDropped int64
-	// Retransmits, Recovered and ARQFailed are the implant's link-layer
-	// recovery accounting; RetransmitBits the on-air bits retries burned.
+	// Retransmits, Recovered and ARQFailed are the link-layer recovery
+	// accounting; RetransmitBits the on-air bits retries burned.
 	Retransmits    int64
 	Recovered      int64
 	ARQFailed      int64
@@ -205,9 +203,6 @@ type ImplantResult struct {
 	// delivered frames — the residual (effective) error rate after coding.
 	DataBits      int64
 	DataBitErrors int64
-	// Digest is an FNV-1a hash over every received frame byte, in tick
-	// order — the byte-identity witness of the determinism tests.
-	Digest uint64
 	// DecodedSteps, DecodeConcealedBins and DecodeMACs are the decode
 	// stage's accounting: decoder steps taken, bins containing at least
 	// one concealed frame, and multiply-accumulates spent. All zero
@@ -215,26 +210,71 @@ type ImplantResult struct {
 	DecodedSteps        int64
 	DecodeConcealedBins int64
 	DecodeMACs          int64
-	// DecodeDigest is an FNV-1a hash over every decoded estimate, the
-	// decode-path analogue of Digest (0 without a decoder).
-	DecodeDigest uint64
 	// DecodeSqErr and DecodeErrBins are the adapt stage's decode-error
 	// accounting: the summed squared estimate error against the true
 	// intent and the bins it was accumulated over. Zero unless the
 	// decode config tracks or adapts.
 	DecodeSqErr   float64
 	DecodeErrBins int64
-	// Refits counts decoder recalibrations applied; LastKL is the final
-	// instability (KL divergence) reading. Zero without adaptation /
-	// tracking respectively.
+	// Refits counts decoder recalibrations applied. Zero without
+	// adaptation.
 	Refits int64
-	LastKL float64
 	// DriftEpochs, DriftTurnovers and DriftUnitsLost are the drift
 	// process's accounting: epoch boundaries crossed, units that swapped
 	// tuning, and units currently dead. All zero without drift.
 	DriftEpochs    int64
 	DriftTurnovers int64
 	DriftUnitsLost int64
+}
+
+// Add accumulates o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.Frames += o.Frames
+	c.Accepted += o.Accepted
+	c.Corrupt += o.Corrupt
+	c.LostSeq += o.LostSeq
+	c.BitsSent += o.BitsSent
+	c.BitErrors += o.BitErrors
+	c.Blanked += o.Blanked
+	c.LinkDropped += o.LinkDropped
+	c.Retransmits += o.Retransmits
+	c.Recovered += o.Recovered
+	c.ARQFailed += o.ARQFailed
+	c.RetransmitBits += o.RetransmitBits
+	c.FECCorrected += o.FECCorrected
+	c.Stale += o.Stale
+	c.Concealed += o.Concealed
+	c.ConcealedSamples += o.ConcealedSamples
+	c.FaultyChannels += o.FaultyChannels
+	c.DataBits += o.DataBits
+	c.DataBitErrors += o.DataBitErrors
+	c.DecodedSteps += o.DecodedSteps
+	c.DecodeConcealedBins += o.DecodeConcealedBins
+	c.DecodeMACs += o.DecodeMACs
+	c.DecodeSqErr += o.DecodeSqErr
+	c.DecodeErrBins += o.DecodeErrBins
+	c.Refits += o.Refits
+	c.DriftEpochs += o.DriftEpochs
+	c.DriftTurnovers += o.DriftTurnovers
+	c.DriftUnitsLost += o.DriftUnitsLost
+}
+
+// ImplantResult is the outcome of one implant's pipeline.
+type ImplantResult struct {
+	// Index is the implant's position in the fleet.
+	Index int
+	// Worker is the shard (worker goroutine) that ran the pipeline.
+	Worker int
+	Counters
+	// Digest is an FNV-1a hash over every received frame byte, in tick
+	// order — the byte-identity witness of the determinism tests.
+	Digest uint64
+	// DecodeDigest is an FNV-1a hash over every decoded estimate, the
+	// decode-path analogue of Digest (0 without a decoder).
+	DecodeDigest uint64
+	// LastKL is the final instability (KL divergence) reading. Zero
+	// without tracking.
+	LastKL float64
 	// Err is the first pipeline error, if any.
 	Err error
 }
@@ -245,44 +285,11 @@ type Aggregate struct {
 	Workers  int
 	Ticks    int
 
-	Frames    int64
-	Accepted  int64
-	Corrupt   int64
-	LostSeq   int64
-	BitsSent  int64
-	BitErrors int64
-
-	// Fault, recovery and degradation accounting, summed over implants.
-	Blanked          int64
-	LinkDropped      int64
-	Retransmits      int64
-	Recovered        int64
-	ARQFailed        int64
-	RetransmitBits   int64
-	FECCorrected     int64
-	Stale            int64
-	Concealed        int64
-	ConcealedSamples int64
-	FaultyChannels   int
-	DataBits         int64
-	DataBitErrors    int64
-
-	// Decode-stage accounting, summed over implants (zero without a
-	// decoder).
-	DecodedSteps        int64
-	DecodeConcealedBins int64
-	DecodeMACs          int64
-
-	// Adaptation and drift accounting, summed over implants; MaxLastKL
-	// is the worst final instability reading across the fleet. All zero
-	// without tracking/adaptation/drift.
-	DecodeSqErr    float64
-	DecodeErrBins  int64
-	Refits         int64
-	MaxLastKL      float64
-	DriftEpochs    int64
-	DriftTurnovers int64
-	DriftUnitsLost int64
+	// Counters are the per-implant counters summed over the fleet.
+	Counters
+	// MaxLastKL is the worst final instability reading across the fleet
+	// (zero without tracking).
+	MaxLastKL float64
 
 	// BER is the measured uplink bit error rate; FER the frame error rate
 	// at the receiver.
@@ -369,15 +376,7 @@ func Run(cfg Config) (*Aggregate, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Static round-robin sharding: implant i always belongs to
-			// shard i mod workers, and each slot is written exactly once.
-			if cfg.Batch > 1 {
-				runBatchShard(cfg, w, workers, results)
-				return
-			}
-			for i := w; i < cfg.Implants; i += workers {
-				results[i] = runImplant(cfg, i, w)
-			}
+			runShard(cfg, w, workers, results)
 		}(w)
 	}
 	wg.Wait()
@@ -399,37 +398,8 @@ func Run(cfg Config) (*Aggregate, error) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("fleet: implant %d: %w", r.Index, r.Err)
 		}
-		agg.Frames += r.Frames
-		agg.Accepted += r.Accepted
-		agg.Corrupt += r.Corrupt
-		agg.LostSeq += r.LostSeq
-		agg.BitsSent += r.BitsSent
-		agg.BitErrors += r.BitErrors
-		agg.Blanked += r.Blanked
-		agg.LinkDropped += r.LinkDropped
-		agg.Retransmits += r.Retransmits
-		agg.Recovered += r.Recovered
-		agg.ARQFailed += r.ARQFailed
-		agg.RetransmitBits += r.RetransmitBits
-		agg.FECCorrected += r.FECCorrected
-		agg.Stale += r.Stale
-		agg.Concealed += r.Concealed
-		agg.ConcealedSamples += r.ConcealedSamples
-		agg.FaultyChannels += r.FaultyChannels
-		agg.DataBits += r.DataBits
-		agg.DataBitErrors += r.DataBitErrors
-		agg.DecodedSteps += r.DecodedSteps
-		agg.DecodeConcealedBins += r.DecodeConcealedBins
-		agg.DecodeMACs += r.DecodeMACs
-		agg.DecodeSqErr += r.DecodeSqErr
-		agg.DecodeErrBins += r.DecodeErrBins
-		agg.Refits += r.Refits
-		if r.LastKL > agg.MaxLastKL {
-			agg.MaxLastKL = r.LastKL
-		}
-		agg.DriftEpochs += r.DriftEpochs
-		agg.DriftTurnovers += r.DriftTurnovers
-		agg.DriftUnitsLost += r.DriftUnitsLost
+		agg.Counters.Add(r.Counters)
+		agg.MaxLastKL = max(agg.MaxLastKL, r.LastKL)
 		for shift := 56; shift >= 0; shift -= 8 {
 			agg.Digest = (agg.Digest ^ (r.Digest >> shift & 0xFF)) * fnvPrime
 		}
@@ -451,30 +421,54 @@ func Run(cfg Config) (*Aggregate, error) {
 	return agg, nil
 }
 
-// runImplant executes one implant's full pipeline to Config.Ticks by
-// stepping a Pipeline — the same dataflow the serve gateway drives
-// incrementally — and flushes the shard-labeled metrics.
-func runImplant(cfg Config, idx, worker int) ImplantResult {
-	p, err := NewPipeline(cfg, idx, worker)
-	if err != nil {
-		return ImplantResult{Index: idx, Worker: worker, Digest: fnvOffset, Err: err}
+// runShard runs worker w's shard — implant i belongs to shard
+// i mod workers, in index order — to Config.Ticks, stepping groups of
+// Config.Batch pipelines (one at a time when Batch < 2) in tick lockstep
+// and flushing each finished implant's shard-labeled metrics. Every
+// result slot is written exactly once.
+func runShard(cfg Config, w, workers int, results []ImplantResult) {
+	var idxs []int
+	for i := w; i < cfg.Implants; i += workers {
+		idxs = append(idxs, i)
 	}
-	defer p.Close()
-	for t := 0; t < cfg.Ticks; t++ {
-		if err := p.Step(); err != nil {
+	group := max(cfg.Batch, 1)
+	ps := make([]*Pipeline, 0, group)
+	for start := 0; start < len(idxs); start += group {
+		ps = ps[:0]
+		for _, idx := range idxs[start:min(start+group, len(idxs))] {
+			p, err := NewPipeline(cfg, idx, w)
+			if err != nil {
+				results[idx] = ImplantResult{Index: idx, Worker: w, Digest: fnvOffset, Err: err}
+				continue
+			}
+			ps = append(ps, p)
+		}
+		var failed *Pipeline
+		var stepErr error
+	ticks:
+		for t := 0; t < cfg.Ticks; t++ {
+			for _, p := range ps {
+				if stepErr = p.Step(); stepErr != nil {
+					failed = p
+					break ticks
+				}
+			}
+		}
+		for _, p := range ps {
 			res := p.Result()
-			res.Err = err
-			return res
+			if p == failed {
+				res.Err = stepErr
+			} else if failed == nil {
+				flushObserver(cfg, res, w)
+			}
+			results[res.Index] = res
+			p.Close()
 		}
 	}
-	res := p.Result()
-	flushObserver(cfg, res, worker)
-	return res
 }
 
 // flushObserver publishes one implant's finished counters to the
-// configured observer under its shard label. Called from both execution
-// modes once an implant completes without error.
+// configured observer under its shard label.
 func flushObserver(cfg Config, res ImplantResult, worker int) {
 	if cfg.Observer != nil {
 		reg := cfg.Observer.Metrics

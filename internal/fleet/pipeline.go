@@ -22,11 +22,13 @@ import (
 // receiver → (decode), each a Stage sharing one Tick record per step.
 // The builder assembles the graph so that every random draw comes from
 // the same derived streams in the same order as the original hardwired
-// pipeline — a Pipeline stepped N times produces byte-for-byte the
-// counters and digest of runImplant over N ticks, with or without a
-// decode stage attached. Snapshot/RestorePipeline extend that guarantee
-// across a serialization boundary: a restored pipeline continues the
-// exact draw sequences, so checkpoint/resume is invisible to the digest.
+// pipeline. Pipeline.Step is the only step path: Run steps these to
+// Config.Ticks, so a Pipeline stepped N times produces byte-for-byte the
+// counters and digest Run reports for that implant over N ticks, with or
+// without a decode stage attached. Snapshot/RestorePipeline extend that
+// guarantee across a serialization boundary: a restored pipeline
+// continues the exact draw sequences, so checkpoint/resume is invisible
+// to the digest.
 //
 // A Pipeline is not safe for concurrent use; Close returns its pooled
 // buffers and must be called exactly once when done.
@@ -139,13 +141,21 @@ func NewPipeline(cfg Config, idx, worker int) (*Pipeline, error) {
 		}
 	}
 
+	// The packed modem carries the frame whenever it can express the
+	// modulation and no FEC or ARQ needs the bit stream.
+	if trans.fec == nil && trans.arq == nil {
+		trans.pm, _ = comm.NewPackedModem(cfg.Modulation)
+	}
+
 	// Pooled buffers: the tick path is allocation-free once these have
 	// grown to steady-state capacity. Close returns them.
 	src.framePtr = comm.GetByteBuf()
 	trans.rxFramePtr = comm.GetByteBuf()
-	trans.bitPtr = comm.GetBitBuf()
-	trans.rxBitPtr = comm.GetBitBuf()
-	trans.symPtr = comm.GetSymbolBuf()
+	if trans.pm == nil {
+		trans.bitPtr = comm.GetBitBuf()
+		trans.rxBitPtr = comm.GetBitBuf()
+		trans.symPtr = comm.GetSymbolBuf()
+	}
 	if trans.fec != nil {
 		trans.codedPtr = comm.GetBitBuf()
 		trans.decPtr = comm.GetBitBuf()

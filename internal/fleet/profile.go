@@ -9,14 +9,13 @@ import (
 )
 
 // StageProfile is the flight recorder's answer to "where does the tick
-// go": a fleet run's per-stage ns/frame breakdown, the raw material the
-// ROADMAP's batched-stage-execution item needs to make regressions
-// attributable. Serialized as BENCH_stage.json by `mindful profile`.
+// go": a fleet run's per-stage ns/frame breakdown, which makes
+// throughput regressions attributable to a stage. Serialized as
+// BENCH_stage.json by `mindful profile`.
 type StageProfile struct {
 	Implants  int    `json:"implants"`
 	Workers   int    `json:"workers"`
 	Ticks     int    `json:"ticks"`
-	Batch     int    `json:"batch"`
 	Digest    string `json:"digest"`
 	ElapsedNs int64  `json:"elapsed_ns"`
 	// Stages is sorted by stage name; Count is Steps (implants×ticks for
@@ -39,7 +38,6 @@ func RunProfile(cfg Config) (*StageProfile, *Aggregate, error) {
 		Implants:  agg.Implants,
 		Workers:   agg.Workers,
 		Ticks:     agg.Ticks,
-		Batch:     cfg.Batch,
 		Digest:    fmt.Sprintf("%016x", agg.Digest),
 		ElapsedNs: agg.Elapsed.Nanoseconds(),
 		Stages:    timer.Stats(),

@@ -60,22 +60,6 @@ type Stage interface {
 	Close()
 }
 
-// BatchStage is the batched-execution capability of the stage layer: one
-// invocation steps a whole group of implants' Tick records, letting the
-// implementation run slab kernels across the batch. The scalar Step
-// remains the compatibility path — any stage without a batched executor
-// runs through scalarBatch, which steps the per-implant stages in group
-// order. Per-implant digests are bit-identical either way because every
-// random draw comes from a per-(implant, purpose) stream that only that
-// implant's stages advance.
-type BatchStage interface {
-	// Name identifies the column, matching the scalar stage's name so
-	// timing attribution lines up across execution modes.
-	Name() string
-	// BatchStep advances every tick in the batch through this column.
-	BatchStep(tks []*Tick) error
-}
-
 // sourceStage is the implant side: synthetic cortex → electrode faults →
 // ADC → frame encoder, with the brownout process gating the radio.
 type sourceStage struct {
@@ -179,21 +163,27 @@ func (s *sourceStage) Close() {
 
 // transportStage is the uplink: frame bits → (FEC) → symbols → AWGN →
 // demodulation → (FEC decode) → bytes → (burst link), with the ARQ loop
-// retrying failed frames inside the tick.
+// retrying failed frames inside the tick. When the config allows it —
+// square QAM with k ∈ {2, 4, 8}, no FEC, no ARQ — the frame goes over
+// the air through the packed byte modem instead of the bit-level one:
+// the same symbols, noise and hard decisions, without the
+// one-byte-per-bit stream.
 type transportStage struct {
 	modem   comm.Modem
+	pm      *comm.PackedModem // nil unless the packed path applies
 	channel *comm.AWGNChannel
 	fec     *comm.FEC
 	arq     *comm.ARQ
 	link    *fault.BurstLink
 	k       int // bits per symbol
 
-	bitPtr, rxBitPtr *[]byte
-	symPtr           *[]comm.Symbol
+	bitPtr, rxBitPtr *[]byte        // nil on the packed path
+	symPtr           *[]comm.Symbol // nil on the packed path
 	codedPtr, decPtr *[]byte
 	linkPtr          *[]byte
 	rxFramePtr       *[]byte
 	finalBuf         []byte
+	checkBuf         []uint16 // ARQ's frame-validity decode scratch
 }
 
 func (t *transportStage) Name() string { return "transport" }
@@ -205,6 +195,56 @@ func (t *transportStage) Name() string { return "transport" }
 // fault-free pipeline — the clean-path byte-identity invariant the
 // determinism wall pins.
 func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
+	var rxFrame []byte
+	if t.pm != nil {
+		rxFrame = t.airPacked(tk)
+	} else {
+		var err error
+		if rxFrame, err = t.airBits(tk); err != nil {
+			return nil, err
+		}
+	}
+	if t.link != nil {
+		out := t.link.AppendTransport((*t.linkPtr)[:0], rxFrame)
+		if out == nil {
+			tk.Res.LinkDropped++
+			return nil, nil
+		}
+		*t.linkPtr = out
+		rxFrame = out
+	}
+	return rxFrame, nil
+}
+
+// packedChunk is the symbols airPacked keeps in flight at once, on the
+// stack: modulation, noise and hard decisions run chunk by chunk, in
+// symbol order, so the channel draws exactly as for the whole frame.
+const packedChunk = 64
+
+// airPacked sends the frame's bytes through the packed modem. A frame
+// maps to a whole number of symbols with no pad bits, so the
+// XOR+popcount error count equals airBits' per-bit comparison exactly.
+func (t *transportStage) airPacked(tk *Tick) []byte {
+	var buf [packedChunk]comm.Symbol
+	frame := tk.Frame
+	step := packedChunk / t.pm.SymbolsPerByte() // frame bytes per chunk
+	rxFrame := (*t.rxFramePtr)[:0]
+	for off := 0; off < len(frame); off += step {
+		syms := t.pm.AppendModulateBytes(buf[:0], frame[off:min(off+step, len(frame))])
+		t.channel.TransmitInPlace(syms)
+		rxFrame = t.pm.AppendDemodulateBytes(rxFrame, syms)
+	}
+	*t.rxFramePtr = rxFrame
+	for i := range frame {
+		tk.Res.BitErrors += int64(mathbits.OnesCount8(frame[i] ^ rxFrame[i]))
+	}
+	tk.Res.BitsSent += int64(len(frame) * 8)
+	return rxFrame
+}
+
+// airBits sends the frame through the general bit-level modem, with
+// FEC when configured.
+func (t *transportStage) airBits(tk *Tick) ([]byte, error) {
 	frame := tk.Frame
 	raw := comm.AppendBytesAsBits((*t.bitPtr)[:0], frame)
 	*t.bitPtr = raw
@@ -251,15 +291,6 @@ func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
 	}
 	rxFrame := comm.AppendBitsAsBytes((*t.rxFramePtr)[:0], data[:len(frame)*8])
 	*t.rxFramePtr = rxFrame
-	if t.link != nil {
-		out := t.link.AppendTransport((*t.linkPtr)[:0], rxFrame)
-		if out == nil {
-			tk.Res.LinkDropped++
-			return nil, nil
-		}
-		*t.linkPtr = out
-		rxFrame = out
-	}
 	return rxFrame, nil
 }
 
@@ -299,8 +330,12 @@ func (t *transportStage) Step(tk *Tick) error {
 		}
 		t.finalBuf = append(t.finalBuf[:0], got...)
 		haveFinal = true
-		_, derr := comm.Decode(got)
-		return derr == nil
+		fr, derr := comm.AppendDecode(t.checkBuf[:0], got)
+		if derr != nil {
+			return false
+		}
+		t.checkBuf = fr.Samples
+		return true
 	})
 	if attemptErr != nil {
 		return attemptErr
@@ -357,9 +392,11 @@ func (t *transportStage) Restore(cfg Config, st *PipelineState) error {
 
 func (t *transportStage) Close() {
 	comm.PutByteBuf(t.rxFramePtr)
-	comm.PutBitBuf(t.bitPtr)
-	comm.PutBitBuf(t.rxBitPtr)
-	comm.PutSymbolBuf(t.symPtr)
+	if t.bitPtr != nil {
+		comm.PutBitBuf(t.bitPtr)
+		comm.PutBitBuf(t.rxBitPtr)
+		comm.PutSymbolBuf(t.symPtr)
+	}
 	if t.codedPtr != nil {
 		comm.PutBitBuf(t.codedPtr)
 		comm.PutBitBuf(t.decPtr)
@@ -375,9 +412,6 @@ func (t *transportStage) Close() {
 type receiverStage struct {
 	rx        *wearable.Receiver
 	onDeliver func(tick int, data []byte, accepted bool)
-	// scratch backs the batched path's allocation-free frame decode; the
-	// decoded samples alias it until the implant's next tick.
-	scratch []uint16
 }
 
 func (r *receiverStage) Name() string { return "receiver" }
@@ -387,42 +421,11 @@ func (r *receiverStage) Step(tk *Tick) error {
 		return nil
 	}
 	got := tk.Delivered
-	fr, rerr := r.rx.Receive(got) // CRC-rejected frames are counted as corrupt
-	frame := tk.Frame
-	tk.Res.DataBits += int64(len(frame) * 8)
-	for i, b := range frame {
-		if i < len(got) {
-			tk.Res.DataBitErrors += int64(mathbits.OnesCount8(b ^ got[i]))
-		} else {
-			tk.Res.DataBitErrors += 8
-		}
-	}
-	for _, b := range got {
-		tk.Res.Digest = (tk.Res.Digest ^ uint64(b)) * fnvPrime
-	}
-	if rerr == nil {
-		tk.RxFrame = fr
-		tk.RxOK = true
-	}
-	if r.onDeliver != nil {
-		r.onDeliver(tk.N, got, rerr == nil)
-	}
-	return nil
-}
-
-// stepScratch is Step for the batched path: identical accounting with
-// the frame decoded into the stage-owned scratch slice. Bit-identical
-// because ReceiveScratch mirrors Receive exactly and every consumer of
-// the samples (record, remember, conceal, decode accumulate) copies or
-// folds synchronously.
-func (r *receiverStage) stepScratch(tk *Tick) error {
-	if tk.Blanked || tk.Delivered == nil {
-		return nil
-	}
-	got := tk.Delivered
-	var fr comm.Frame
-	var rerr error
-	fr, r.scratch, rerr = r.rx.ReceiveScratch(got, r.scratch)
+	// CRC-rejected frames are counted as corrupt. An accepted frame's
+	// samples alias the receiver's scratch until the next tick; every
+	// consumer (record, remember, conceal, decode accumulate) copies or
+	// folds them synchronously.
+	fr, rerr := r.rx.Receive(got)
 	frame := tk.Frame
 	tk.Res.DataBits += int64(len(frame) * 8)
 	for i, b := range frame {

@@ -73,10 +73,12 @@ func TestStageTimingCoversAllStages(t *testing.T) {
 // interrupted timed run must reproduce the uninterrupted untimed digest.
 func TestStageTimingCheckpointNeutral(t *testing.T) {
 	cfg := timedConfig()
-	ref := runImplant(cfg, 0, 0)
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
+	cfg.Workers = 1
+	agg, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ref := agg.PerImplant[0]
 
 	cfg.StageTiming = obs.NewStageTimer()
 	p, err := NewPipeline(cfg, 0, 0)

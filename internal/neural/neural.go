@@ -269,16 +269,20 @@ func (g *Generator) NextInto(dst []float64) []float64 {
 	return dst
 }
 
-// fill writes one sample per channel into dst (len = Channels).
+// fill writes one sample per channel into dst (len = Channels). Draws go
+// through the detrand fast samplers, which return exactly the values and
+// draw counts of the stock NormFloat64/Float64 without the rand.Rand
+// wrapper's per-draw dispatch (the stock-sampler reference lives in
+// reference_test.go as the oracle).
 func (g *Generator) fill(dst []float64) {
 	dt := g.cfg.SampleRate.Period()
-	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + g.rng.NormFloat64()
+	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + g.rng.FastNormFloat64()
 	g.lfpY2, g.lfpY1 = g.lfpY1, raw
 	lfp := raw * g.lfpNorm
 
 	tlen := len(g.template)
 	for c := 0; c < g.cfg.Channels; c++ {
-		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*g.rng.NormFloat64()
+		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*g.rng.FastNormFloat64()
 		ring := g.pending[c*tlen : (c+1)*tlen]
 		head := g.pendHead[c]
 		if g.active[c] && (g.drift == nil || g.drift.alive[c]) {
@@ -294,7 +298,7 @@ func (g *Generator) fill(dst []float64) {
 			if rate < 0 {
 				rate = 0
 			}
-			if g.rng.Float64() < rate*dt {
+			if g.rng.FastFloat64() < rate*dt {
 				// Emit a spike: mix the template additively into the
 				// channel's pending ring (overlapping spikes sum).
 				for k, tv := range g.template {
@@ -436,10 +440,25 @@ func (a ADC) QuantizeBlock(xs []float64) []uint16 {
 }
 
 // AppendQuantize digitizes xs, appending the codes to dst — the
-// allocation-free variant for buffer-reusing pipelines.
+// allocation-free variant for buffer-reusing pipelines. The range check
+// and scale constants are hoisted out of the sample loop; each code
+// comes from Quantize's floating-point expression, so the output is
+// identical.
 func (a ADC) AppendQuantize(dst []uint16, xs []float64) []uint16 {
+	if a.Bits < 1 || a.Bits > 16 {
+		panic("neural: ADC bits outside 1..16")
+	}
+	lv := float64(a.Levels())
+	den := 2 * a.FullScale
 	for _, x := range xs {
-		dst = append(dst, a.Quantize(x))
+		code := math.Floor((x + a.FullScale) / den * lv)
+		if code < 0 {
+			code = 0
+		}
+		if code > lv-1 {
+			code = lv - 1
+		}
+		dst = append(dst, uint16(code))
 	}
 	return dst
 }

@@ -38,11 +38,13 @@ func goldenV1Config() SessionConfig {
 // goldenV1Result is the pinned uninterrupted 24-tick result of the golden
 // session — the continuation a correct v1 restore must reproduce exactly.
 var goldenV1Result = fleet.ImplantResult{
-	Frames: 20, Accepted: 13, Corrupt: 7, LostSeq: 7,
-	BitsSent: 20468, BitErrors: 187, Blanked: 4, LinkDropped: 10,
-	Retransmits: 23, Recovered: 7, ARQFailed: 7, RetransmitBits: 10948,
-	FECCorrected: 184, Concealed: 7, ConcealedSamples: 112,
-	FaultyChannels: 1, DataBits: 5440, DataBitErrors: 13,
+	Counters: fleet.Counters{
+		Frames: 20, Accepted: 13, Corrupt: 7, LostSeq: 7,
+		BitsSent: 20468, BitErrors: 187, Blanked: 4, LinkDropped: 10,
+		Retransmits: 23, Recovered: 7, ARQFailed: 7, RetransmitBits: 10948,
+		FECCorrected: 184, Concealed: 7, ConcealedSamples: 112,
+		FaultyChannels: 1, DataBits: 5440, DataBitErrors: 13,
+	},
 	Digest: 10134489101573515607,
 }
 

@@ -40,13 +40,15 @@ func goldenV2Config() SessionConfig {
 // v2 session — the continuation a correct v2 restore must reproduce
 // exactly, decoder temporal state included.
 var goldenV2Result = fleet.ImplantResult{
-	Frames: 24, Accepted: 19, Corrupt: 5, LostSeq: 2,
-	BitsSent: 23324, BitErrors: 216, LinkDropped: 11,
-	Retransmits: 25, Recovered: 12, ARQFailed: 5, RetransmitBits: 11900,
-	FECCorrected: 209, Concealed: 2, ConcealedSamples: 32,
-	FaultyChannels: 3, DataBits: 6528, DataBitErrors: 9,
+	Counters: fleet.Counters{
+		Frames: 24, Accepted: 19, Corrupt: 5, LostSeq: 2,
+		BitsSent: 23324, BitErrors: 216, LinkDropped: 11,
+		Retransmits: 25, Recovered: 12, ARQFailed: 5, RetransmitBits: 11900,
+		FECCorrected: 209, Concealed: 2, ConcealedSamples: 32,
+		FaultyChannels: 3, DataBits: 6528, DataBitErrors: 9,
+		DecodedSteps: 10, DecodeConcealedBins: 2, DecodeMACs: 1520,
+	},
 	Digest:       2744184159313191520,
-	DecodedSteps: 10, DecodeConcealedBins: 2, DecodeMACs: 1520,
 	DecodeDigest: 12146187164535703923,
 }
 

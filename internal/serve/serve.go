@@ -374,10 +374,13 @@ func (s *Server) RestoreSession(blob []byte, ticks int, startPaused bool) (*Sess
 	if err != nil {
 		return nil, err
 	}
+	// Read the checkpoint tick now: once newSession starts the session's
+	// goroutine, that goroutine alone may touch p.
+	tick := p.Tick()
 	if ticks > 0 {
-		if ticks < p.Tick() {
+		if ticks < tick {
 			p.Close()
-			return nil, fmt.Errorf("serve: tick target %d behind checkpoint tick %d", ticks, p.Tick())
+			return nil, fmt.Errorf("serve: tick target %d behind checkpoint tick %d", ticks, tick)
 		}
 		cfg.Ticks = ticks
 	}
@@ -388,7 +391,7 @@ func (s *Server) RestoreSession(blob []byte, ticks int, startPaused bool) (*Sess
 			s.mDecSess.Inc()
 		}
 		s.event("session_restore", id, cfg.Decoder,
-			obs.EventAttr{Key: "tick", Val: float64(p.Tick())},
+			obs.EventAttr{Key: "tick", Val: float64(tick)},
 			obs.EventAttr{Key: "ticks", Val: float64(cfg.Ticks)})
 		return sess, nil
 	})

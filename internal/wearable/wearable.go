@@ -87,6 +87,7 @@ type Receiver struct {
 	concealedSm int64
 	lastSamples []uint16
 	concealBuf  []uint16
+	scratch     []uint16
 	history     [][]uint16
 	o           receiverObs
 }
@@ -138,20 +139,31 @@ func NewReceiver(keepSamples int) (*Receiver, error) {
 	return &Receiver{KeepSamples: keepSamples}, nil
 }
 
+// ErrFrameRejected reports a frame that failed decode validation
+// (framing or CRC). It is returned as is, never wrapped, so a corrupt
+// frame costs no allocation; comm.AppendDecode reports the cause when it
+// matters.
+var ErrFrameRejected = errors.New("wearable: frame rejected")
+
 // Receive consumes one (possibly corrupted) frame. It returns the decoded
 // frame when accepted; rejected frames are counted per cause and return
-// an error (ErrStaleFrame for duplicates/late retransmissions).
+// ErrFrameRejected, or ErrStaleFrame (with the frame) for duplicates and
+// late retransmissions. The frame's samples are decoded into
+// receiver-owned scratch and stay valid only until the next Receive:
+// callers that keep them must copy. History, concealment and OnConcealed
+// copy synchronously, so a steady-state call allocates nothing.
 func (r *Receiver) Receive(buf []byte) (comm.Frame, error) {
 	var start time.Time
 	if r.o.attached {
 		start = time.Now()
 	}
-	f, err := comm.Decode(buf)
+	f, err := comm.AppendDecode(r.scratch[:0], buf)
 	if err != nil {
 		r.corrupt++
 		r.o.corrupt.Inc()
-		return comm.Frame{}, fmt.Errorf("wearable: frame rejected: %w", err)
+		return comm.Frame{}, ErrFrameRejected
 	}
+	r.scratch = f.Samples
 	if r.started && f.Seq != r.nextSeq {
 		// Signed distance from the cursor: forward is a gap, backward a
 		// stale delivery (duplicate or late retransmission).
@@ -176,54 +188,6 @@ func (r *Receiver) Receive(buf []byte) (comm.Frame, error) {
 		r.o.latency.Observe(time.Since(start).Seconds())
 	}
 	return f, nil
-}
-
-// ErrFrameRejected reports a frame that failed decode validation
-// (framing or CRC) — the allocation-free counterpart of the wrapped
-// error Receive returns. Use errors.Is against this, or against the
-// comm.Err* causes via DecodeInto directly, when the cause matters.
-var ErrFrameRejected = errors.New("wearable: frame rejected")
-
-// ReceiveScratch is Receive for the batched hot path: frame samples are
-// decoded into the caller-owned scratch slice (grown as needed and
-// returned), and decode rejections surface as the static
-// ErrFrameRejected, so a steady-state call allocates nothing. Counters,
-// sequence tracking, concealment and history behave exactly as Receive:
-// the returned frame's Samples alias scratch, which is safe because
-// record/remember/conceal copy synchronously.
-func (r *Receiver) ReceiveScratch(buf []byte, scratch []uint16) (comm.Frame, []uint16, error) {
-	var start time.Time
-	if r.o.attached {
-		start = time.Now()
-	}
-	f, scratch, err := comm.DecodeInto(scratch, buf)
-	if err != nil {
-		r.corrupt++
-		r.o.corrupt.Inc()
-		return comm.Frame{}, scratch, ErrFrameRejected
-	}
-	if r.started && f.Seq != r.nextSeq {
-		delta := int32(f.Seq - r.nextSeq)
-		if delta < 0 {
-			r.stale++
-			r.o.stale.Inc()
-			return f, scratch, ErrStaleFrame
-		}
-		gap := int64(delta)
-		r.lost += gap
-		r.o.lostSeq.Add(gap)
-		r.conceal(gap, f)
-	}
-	r.started = true
-	r.nextSeq = f.Seq + 1
-	r.accepted++
-	r.record(f.Samples)
-	r.remember(f.Samples)
-	if r.o.attached {
-		r.o.accepted.Inc()
-		r.o.latency.Observe(time.Since(start).Seconds())
-	}
-	return f, scratch, nil
 }
 
 // remember keeps a private copy of the latest accepted sample vector for

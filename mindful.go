@@ -495,9 +495,6 @@ type (
 	StageProfile = fleet.StageProfile
 	// FleetScalingPoint is one worker count's throughput on a fixed fleet.
 	FleetScalingPoint = fleet.ScalingPoint
-	// FleetBatchPoint is one batch size's throughput on a fixed
-	// single-worker fleet.
-	FleetBatchPoint = fleet.BatchPoint
 )
 
 // NewObserver returns an observer with a fresh registry and a tracer of
@@ -528,13 +525,6 @@ func RunFleetProfile(cfg FleetConfig) (*StageProfile, *FleetAggregate, error) {
 // returns the throughput curve, failing if any point's digest diverges.
 func MeasureFleetScaling(cfg FleetConfig, workerCounts []int) ([]FleetScalingPoint, error) {
 	return fleet.MeasureScaling(cfg, workerCounts)
-}
-
-// MeasureFleetBatchSweep runs the same single-worker fleet at each batch
-// size and returns the throughput curve, failing if any point's digest
-// diverges — the batched-execution analogue of MeasureFleetScaling.
-func MeasureFleetBatchSweep(cfg FleetConfig, batches []int) ([]FleetBatchPoint, error) {
-	return fleet.MeasureBatchSweep(cfg, batches)
 }
 
 // ObserveModem wraps a modem so its traffic is accounted in o's registry,

@@ -4,12 +4,11 @@
 // attached flag, so the unobserved cost is a handful of nil checks per
 // tick. This test measures that cost directly — the exact no-op hook
 // sequence of one communication-centric tick against the tick itself — and
-// writes the figures to BENCH_obs.json as the tracked baseline.
+// writes the figures to BENCH_obs.json (with -update) as the tracked
+// baseline.
 package mindful_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -167,11 +166,5 @@ func TestObserverOverheadBaseline(t *testing.T) {
 		t.Errorf("disabled flight-recorder hooks cost %.2f%% of a tick, want < 0.5%%", b.FlightOverheadPct)
 	}
 
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBaseline(t, "BENCH_obs.json", b)
 }
