@@ -8,7 +8,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check fmt vet race bench fuzz-smoke fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke determinism clean
+.PHONY: all build test check fmt vet race bench fuzz-smoke fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke determinism clean
 
 all: build
 
@@ -63,10 +63,11 @@ fault-smoke:
 # Serving smoke: boot a gateway, create a session over the control plane,
 # stream its frames over the data plane, snapshot, restore with an
 # extended tick target and assert the continued digest is bit-identical
-# to an uninterrupted run — plus the checkpoint determinism wall, all
-# under the race detector.
+# to an uninterrupted run; hold paced sessions to their fixed-rate tick
+# schedule (nominal time, no burst after a pause) — plus the checkpoint
+# determinism wall, all under the race detector.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestPauseResumeSnapshot|TestShutdownDrainsSnapshots' ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestPauseResumeSnapshot|TestShutdownDrainsSnapshots|TestTickSchedulePace' ./internal/serve/
 	$(GO) test -race -run 'TestCheckpointResume|TestRestoreContinuesBitIdentically' ./internal/fleet/ ./internal/serve/checkpoint/
 
 # Decode smoke: a tiny fleet run per decoder kind, digest-chained — the
@@ -151,7 +152,14 @@ batch-smoke:
 	$(GO) test -run 'TestPipelineStepAllocFree' ./internal/fleet/
 	$(GO) test -run 'TestFleetScalingBaseline' . -update
 
-check: build vet fmt race fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke fuzz-smoke
+# Benchmark smoke: the benchmark harness is a module of its own
+# (mindful/bench), so the root `go test ./...` never reaches it. Its
+# tests pin the workloads' reference digests and check -compare and the
+# run statistics.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
+check: build vet fmt race fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -42,7 +42,7 @@ func runCluster() error {
 	sessions := fs.Int("sessions", def.Sessions, "concurrent sessions across the cluster")
 	subs := fs.Int("subs", def.SubsPerSession, "subscribers per session (dialed through the front tier)")
 	ticks := fs.Int("ticks", def.Ticks, "frames per session")
-	tickInterval := fs.Duration("tick-interval", time.Millisecond, "per-shard tick pacing")
+	tickInterval := fs.Duration("tick-interval", time.Millisecond, "fixed tick period of every shard's sessions, anchored at each resume; a late loop catches up")
 	channels := fs.Int("channels", def.Session.Channels, "channels per implant")
 	qam := fs.Int("qam", def.Session.QAMBits, "QAM bits per symbol (0 = OOK)")
 	ebn0 := fs.Float64("ebn0", def.Session.EbN0dB, "AWGN operating point Eb/N0 [dB]")

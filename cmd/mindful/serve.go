@@ -42,7 +42,7 @@ func runServe() error {
 	maxSessions := fs.Int("max-sessions", serve.DefaultMaxSessions, "concurrent session limit")
 	queue := fs.Int("queue", serve.DefaultQueueDepth, "per-subscriber record queue depth")
 	stall := fs.Duration("stall", serve.DefaultStallTimeout, "evict a subscriber stalled this long (negative disables)")
-	tickInterval := fs.Duration("tick-interval", 0, "throttle every session's tick loop (0 = free-run)")
+	tickInterval := fs.Duration("tick-interval", 0, "fixed tick period of every session, anchored at each resume; a late loop catches up (0 = free-run)")
 	decoder := fs.String("decoder", "", "default kinematics decoder for new sessions: kalman, wiener, dnn or fixed")
 	driftI := fs.Float64("drift", 0, "default nonstationarity intensity for new sessions (0 = off)")
 	adapt := fs.Bool("adapt", false, "close the recalibration loop on new linear-decoder sessions by default")

@@ -149,52 +149,3 @@ func (f *FEC) AppendDecode(dst []byte, coded []byte) ([]byte, int, error) {
 	f.corrected += int64(fixed)
 	return dst, fixed, nil
 }
-
-// AppendEncodeFrames codes a batch of equal-length frames laid
-// head-to-head in src (frameBits data bits each), appending each
-// frame's coded stream zero-padded to a multiple of padTo bits
-// (padTo ≤ 1 disables padding). Per-frame output is bit-identical to
-// AppendEncode followed by the transport's modem-alignment padding; the
-// batch call shares one scratch growth across all frames.
-func (f *FEC) AppendEncodeFrames(dst, src []byte, frameBits, padTo int) ([]byte, error) {
-	if frameBits <= 0 || len(src)%frameBits != 0 {
-		return dst, fmt.Errorf("comm: slab of %d bits not a multiple of %d-bit frames", len(src), frameBits)
-	}
-	for off := 0; off < len(src); off += frameBits {
-		start := len(dst)
-		dst = f.AppendEncode(dst, src[off:off+frameBits])
-		if padTo > 1 {
-			for (len(dst)-start)%padTo != 0 {
-				dst = append(dst, 0)
-			}
-		}
-	}
-	return dst, nil
-}
-
-// AppendDecodeFrames reverses AppendEncodeFrames: coded holds a batch
-// of airBits-bit padded frames whose first codedBits bits are the
-// interleaved code stream (trailing pad bits are discarded, as in the
-// scalar transport). The recovered data bits are appended to dst and
-// fixed[i] records frame i's corrected-bit count; len(fixed) must cover
-// the batch.
-func (f *FEC) AppendDecodeFrames(dst, coded []byte, airBits, codedBits int, fixed []int) ([]byte, error) {
-	if airBits <= 0 || len(coded)%airBits != 0 {
-		return dst, fmt.Errorf("comm: slab of %d bits not a multiple of %d-bit frames", len(coded), airBits)
-	}
-	if codedBits > airBits {
-		return dst, fmt.Errorf("comm: coded bits %d exceed air bits %d", codedBits, airBits)
-	}
-	n := len(coded) / airBits
-	if len(fixed) < n {
-		return dst, fmt.Errorf("comm: fixed counts len %d < %d frames", len(fixed), n)
-	}
-	for i := 0; i < n; i++ {
-		var err error
-		dst, fixed[i], err = f.AppendDecode(dst, coded[i*airBits:i*airBits+codedBits])
-		if err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}

@@ -363,69 +363,6 @@ func TestTransmitSlabFastIdentical(t *testing.T) {
 	}
 }
 
-// TestFECFramesIdentical pins the frame-slab codec against per-frame
-// scalar calls including the transport's modem-alignment padding.
-func TestFECFramesIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, depth := range []int{1, 4} {
-		for _, padTo := range []int{1, 4, 6} {
-			ref, _ := NewFEC(depth)
-			slab, _ := NewFEC(depth)
-			const frameBits = 72
-			const nFrames = 5
-			src := make([]byte, frameBits*nFrames)
-			for i := range src {
-				src[i] = byte(rng.Intn(2))
-			}
-			// Reference: encode+pad each frame separately.
-			var want []byte
-			for f := 0; f < nFrames; f++ {
-				enc := ref.AppendEncode(nil, src[f*frameBits:(f+1)*frameBits])
-				if padTo > 1 {
-					for len(enc)%padTo != 0 {
-						enc = append(enc, 0)
-					}
-				}
-				want = append(want, enc...)
-			}
-			got, err := slab.AppendEncodeFrames(nil, src, frameBits, padTo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("depth=%d padTo=%d: coded slabs differ", depth, padTo)
-			}
-
-			// Corrupt a few bits, then decode both ways.
-			airBits := len(got) / nFrames
-			codedBits := ref.CodedBits(frameBits)
-			for i := 0; i < 8; i++ {
-				got[rng.Intn(len(got))] ^= 1
-			}
-			var wantDec []byte
-			wantFixed := make([]int, nFrames)
-			for f := 0; f < nFrames; f++ {
-				var err error
-				wantDec, wantFixed[f], err = ref.AppendDecode(wantDec, got[f*airBits:f*airBits+codedBits])
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			gotFixed := make([]int, nFrames)
-			gotDec, err := slab.AppendDecodeFrames(nil, got, airBits, codedBits, gotFixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantDec, gotDec) {
-				t.Fatalf("depth=%d padTo=%d: decoded slabs differ", depth, padTo)
-			}
-			if !reflect.DeepEqual(wantFixed, gotFixed) {
-				t.Fatalf("depth=%d padTo=%d: fixed counts %v vs %v", depth, padTo, gotFixed, wantFixed)
-			}
-		}
-	}
-}
-
 func benchSamples(n, bits int) []uint16 {
 	rng := rand.New(rand.NewSource(1))
 	s := make([]uint16, n)

@@ -56,23 +56,6 @@ func (c *StageClock) Observe(ns int64) {
 	c.observeEWMA(float64(ns))
 }
 
-// ObserveBatch records a batched stage invocation that covered n frames
-// in totalNs: the per-frame average counts n times, so Count keeps its
-// frames-observed meaning and MeanNs stays the true ns/frame. The EWMA
-// takes one step toward the batch average (one invocation, one sample
-// of the quantity it tracks).
-func (c *StageClock) ObserveBatch(totalNs int64, n int) {
-	if c == nil || n <= 0 {
-		return
-	}
-	c.count.Add(int64(n))
-	c.sumNs.Add(totalNs)
-	avg := float64(totalNs) / float64(n)
-	c.hist.ObserveN(avg, int64(n))
-	c.observeRange(int64(avg))
-	c.observeEWMA(avg)
-}
-
 func (c *StageClock) observeRange(ns int64) {
 	for {
 		old := c.minNs.Load()

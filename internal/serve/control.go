@@ -36,7 +36,8 @@ import (
 //	                                     depths, drops, decode stats,
 //	                                     last activity)
 //	GET    /api/stats                    gateway-wide aggregates +
-//	                                     delivery-latency percentiles
+//	                                     delivery-latency and
+//	                                     tick-lateness percentiles
 //	POST   /api/drain                    toggle rebalance draining
 //	                                     (?on=true|false; /readyz is 503
 //	                                     while on)
@@ -60,10 +61,12 @@ type CreateRequest struct {
 	StartPaused bool `json:"start_paused"`
 }
 
-// StatsResponse is the gateway-wide aggregate view. The latency fields
-// are end-to-end publish→subscriber-write percentiles in milliseconds,
-// estimated from the delivery histogram; zero until a record has been
-// delivered.
+// StatsResponse is the gateway-wide aggregate view. The delivery
+// latency fields are end-to-end publish→subscriber-write percentiles in
+// milliseconds, estimated from the delivery histogram; zero until a
+// record has been delivered. The tick-lateness fields are how late paced
+// ticks started against their fixed-rate due times — whether the
+// gateway holds its clock; zero when TickInterval is 0.
 type StatsResponse struct {
 	Sessions    int   `json:"sessions"`
 	Subscribers int   `json:"subscribers"`
@@ -76,6 +79,9 @@ type StatsResponse struct {
 	DeliveryLatencyP99Ms float64 `json:"delivery_latency_p99_ms"`
 	// P999 is the p99.9 tail — the SLO figure stall eviction protects.
 	DeliveryLatencyP999Ms float64 `json:"delivery_latency_p999_ms"`
+
+	TickLatenessP50Ms float64 `json:"tick_lateness_p50_ms"`
+	TickLatenessP99Ms float64 `json:"tick_lateness_p99_ms"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -153,6 +159,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.DeliveryLatencyP50Ms = s.latency.Quantile(0.50) * msPerNs
 	resp.DeliveryLatencyP99Ms = s.latency.Quantile(0.99) * msPerNs
 	resp.DeliveryLatencyP999Ms = s.latency.Quantile(0.999) * msPerNs
+	resp.TickLatenessP50Ms = s.tickLateness.Quantile(0.50) * msPerNs
+	resp.TickLatenessP99Ms = s.tickLateness.Quantile(0.99) * msPerNs
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -55,7 +55,11 @@ type Config struct {
 	// StallTimeout evicts a subscriber whose connection blocks a write
 	// longer than this (0 = default; negative disables eviction).
 	StallTimeout time.Duration
-	// TickInterval throttles every session's tick loop (0 = free-run).
+	// TickInterval is every session's fixed tick period (0 = free-run).
+	// Tick k of a running stretch is due at anchor + k·TickInterval, the
+	// anchor being the stretch's start (creation or resume); a loop that
+	// falls behind steps at once until it has caught up, and a paused
+	// one banks no ticks.
 	TickInterval time.Duration
 	// DefaultDecoder, when set (e.g. "kalman"), attaches that decoder to
 	// every created session whose config does not name one itself.
@@ -108,9 +112,12 @@ type Server struct {
 	// observer — every Record call is nil-safe). latency is the
 	// end-to-end publish→subscriber-write histogram behind the /api/stats
 	// latency percentiles; always live, observed off the tick loop in
-	// subscriber write loops.
-	events  *obs.EventLog
-	latency *obs.Histogram
+	// subscriber write loops. tickLateness is how late each paced tick
+	// started against its due time, observed on the tick loop; always
+	// live, untouched when TickInterval is 0.
+	events       *obs.EventLog
+	latency      *obs.Histogram
+	tickLateness *obs.Histogram
 
 	mSessions  *obs.Gauge
 	mSubs      *obs.Gauge
@@ -157,6 +164,9 @@ func New(cfg Config) (*Server, error) {
 		// 1µs..~8s exponential buckets: a local subscriber writes within
 		// microseconds; a stalled one drifts toward the eviction timeout.
 		latency: obs.NewHistogram(obs.ExpBuckets(1000, 2, 24)),
+		// Same 1µs..~8s shape: an on-time tick starts within the sleep's
+		// overshoot; a starved one falls behind by whole ticks or more.
+		tickLateness: obs.NewHistogram(obs.ExpBuckets(1000, 2, 24)),
 	}
 	if o := cfg.Observer; o != nil {
 		s.events = o.Events

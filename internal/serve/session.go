@@ -32,8 +32,15 @@ const (
 
 // Session hosts one implant pipeline behind the gateway: a dedicated
 // tick-loop goroutine steps it, publishing every delivered frame to the
-// attached subscribers. All pipeline access — stepping, snapshotting,
-// result reads — happens under mu, so a snapshot waits at most one tick.
+// attached subscribers. With a TickInterval the loop keeps a fixed-rate
+// schedule: tick k of a running stretch is due at anchor + k·interval,
+// the loop sleeps until the next due time and, when behind, steps at
+// once until it has caught up. The anchor is set when the stretch
+// begins — at creation unless started paused, and at every resume — so
+// a paused session banks no ticks, and an imported or restored session
+// anchors at its own resume. No tick is ever skipped. All pipeline
+// access — stepping, snapshotting, result reads — happens under mu, so
+// a snapshot waits at most one tick.
 type Session struct {
 	// ID is the gateway-assigned session identifier.
 	ID string
@@ -49,6 +56,11 @@ type Session struct {
 	err       error
 	final     *fleet.ImplantResult // result frozen when the loop exits
 	finalTick int
+	// anchor and since are the running stretch's schedule: since ticks
+	// have been stepped since anchor, so the next one is due at
+	// anchor + since·TickInterval.
+	anchor time.Time
+	since  int64
 
 	published atomic.Int64 // frames published to the fan-out
 	decoded   atomic.Int64 // decoded-kinematics records published
@@ -84,7 +96,8 @@ func newSession(srv *Server, id string, cfg checkpoint.SessionConfig, p *fleet.P
 		done:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.lastActive.Store(time.Now().UnixNano())
+	s.anchor = time.Now()
+	s.lastActive.Store(s.anchor.UnixNano())
 	if paused {
 		s.state = StatePaused
 	}
@@ -125,7 +138,9 @@ func (s *Session) hasDecoder() bool {
 }
 
 // run is the tick loop: step while running, wait while paused, finish at
-// the target. It owns no resources — cleanup happens in stop().
+// the target, and on a paced gateway sleep until each tick's due time
+// (see Session). It owns no resources — cleanup happens in halt and
+// release.
 func (s *Session) run() {
 	defer close(s.done)
 	interval := s.srv.cfg.TickInterval
@@ -146,6 +161,18 @@ func (s *Session) run() {
 			s.finishSubscribers()
 			return
 		}
+		if interval > 0 {
+			late := time.Since(s.anchor.Add(time.Duration(s.since) * interval))
+			if late < 0 {
+				// Not yet due: sleep without the lock, then re-check
+				// everything — a pause, resume or stop may land meanwhile.
+				s.mu.Unlock()
+				time.Sleep(-late)
+				continue
+			}
+			s.since++
+			s.srv.tickLateness.Observe(float64(late))
+		}
 		err := s.p.Step()
 		if err != nil {
 			s.err = err
@@ -160,9 +187,6 @@ func (s *Session) run() {
 			s.recordFaultEventsLocked()
 		}
 		s.mu.Unlock()
-		if interval > 0 {
-			time.Sleep(interval)
-		}
 	}
 }
 
@@ -361,6 +385,7 @@ func (s *Session) resume() error {
 	switch s.state {
 	case StatePaused:
 		s.state = StateRunning
+		s.anchor, s.since = time.Now(), 0
 		s.cond.Broadcast()
 		s.srv.event("session_resume", s.ID, "",
 			obs.EventAttr{Key: "tick", Val: float64(s.p.Tick())})
