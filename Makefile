@@ -3,7 +3,10 @@
 # `make check` is the tier-1.5 gate: everything tier-1 runs
 # (build + tests) plus vet, gofmt drift, the race detector (which covers
 # the fleet determinism wall), and a short fuzz smoke of the frame parser
-# and Rice codec.
+# and Rice codec. It writes no tracked file: the baseline tests only
+# assert (rerun them with -update to regenerate a BENCH_*.json on
+# purpose), and the CLI runs write their BENCH_*.json under the
+# git-ignored out/.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -88,7 +91,7 @@ decode-smoke:
 # lifecycle/fault narration fires — under the race detector where the
 # recorder runs concurrently.
 obs-smoke:
-	$(GO) test -run 'TestStageProfileBaseline|TestObserverOverheadBaseline' . -update
+	$(GO) test -run 'TestStageProfileBaseline|TestObserverOverheadBaseline' .
 	$(GO) test -race -run 'TestEventLog|TestEventRoundTrip|TestEventJSONCanonical|TestDecodeEventErrors|TestStageTimer|TestHistogramQuantile|TestExportGoldenFiles|TestTracerWraparoundSustained' ./internal/obs/
 	$(GO) test -race -run 'TestStageTiming|TestRunProfile' ./internal/fleet/
 	$(GO) test -race -run 'TestReadyz|TestSessionStatsEndpoint|TestStatsDeliveryLatency|TestLifecycleEvents|TestFaultPathEvents' ./internal/serve/
@@ -100,23 +103,25 @@ obs-smoke:
 # recovery, split-brain guard), and the drain-readyz contract — all
 # under the race detector — then a 3-shard self-hosted run with one
 # migration and one kill/restore, digest-checked, emitting
-# BENCH_cluster.json.
+# out/BENCH_cluster.json.
 cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestMigration|TestMigrate|TestConcurrentMigrations|TestSubscriberFollowsMigration|TestChaos|TestCluster' ./internal/cluster/
 	$(GO) test -race -run 'TestExportImport|TestImportRejects|TestReadyzDraining|TestSubscribeMoved|TestKillIsAbrupt' ./internal/serve/
-	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 9 -subs 1 -ticks 150 -migrations 1 -kill -verify -out BENCH_cluster.json
+	mkdir -p out
+	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 9 -subs 1 -ticks 150 -migrations 1 -kill -verify -out out/BENCH_cluster.json
 
 # Chaos-hardening smoke: the deterministic fault-injection primitives
-# (CRN monotonicity, per-op isolation, proxy fates), the durable
+# (CRN monotonicity, per-op isolation, transport fates), the durable
 # checkpoint store's corruption table, the chaos determinism wall
 # (seeded control-plane faults, janitor convergence to exactly one copy
 # per key, bit-identical digests) and the front-tier restart recovery —
 # all under the race detector — then a short chaos sweep across four
-# intensities emitting BENCH_chaos.json.
+# intensities emitting out/BENCH_chaos.json.
 chaos-smoke:
 	$(GO) test -race ./internal/chaosnet/ ./internal/cluster/store/
 	$(GO) test -race -run 'TestChaosDeterminismWall|TestChaosWallFaultFreePins|TestFrontTierRestartRecovers|TestRecoverShard' ./internal/cluster/
-	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 8 -subs 1 -ticks 120 -migrations 2 -kill -chaos-sweep -chaos-seed 1 -chaos-intensities 0,0.5,1,2 -chaos-out BENCH_chaos.json
+	mkdir -p out
+	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 8 -subs 1 -ticks 120 -migrations 2 -kill -chaos-sweep -chaos-seed 1 -chaos-intensities 0,0.5,1,2 -chaos-out out/BENCH_chaos.json
 
 # Nonstationarity smoke: the drift package's unit tests, the
 # intensity-0 digest pin (attaching the drift subsystem at zero scale
@@ -131,10 +136,11 @@ drift-smoke:
 	$(GO) test -race -run 'TestGoldenV1|TestGoldenV2|TestRoundTripAdaptive|TestRestoreContinuesBitIdenticallyAdaptive' ./internal/serve/checkpoint/
 	$(GO) test -race -run 'TestGatewayRestoreAdaptive' ./internal/serve/
 	$(GO) test -race -run 'TestMigrationMidRefitAdaptive' ./internal/cluster/
+	mkdir -p out
 	$(GO) run ./cmd/mindful fleet -n 2 -workers 2 -ticks 12000 -channels 16 \
 		-decoder kalman -decode-bin 25 -calibrate \
 		-refit-every 12 -refit-buffer 48 -refit-blend 0.3 \
-		-drift-sweep BENCH_drift.json
+		-drift-sweep out/BENCH_drift.json
 
 # Fast-kernel smoke: the bit-identity foundations (packed-modem decision
 # thresholds at every boundary ±1 ulp, each fast kernel against its
@@ -150,7 +156,7 @@ batch-smoke:
 	$(GO) test -race -run 'TestBatched|TestBatchValidate' ./internal/fleet/
 	$(GO) test -race -run 'TestReceiveFastIdentical|TestReceiveRejectionIsStatic' ./internal/wearable/
 	$(GO) test -run 'TestPipelineStepAllocFree' ./internal/fleet/
-	$(GO) test -run 'TestFleetScalingBaseline' . -update
+	$(GO) test -run 'TestFleetScalingBaseline' .
 
 # Benchmark smoke: the benchmark harness is a module of its own
 # (mindful/bench), so the root `go test ./...` never reaches it. Its

@@ -8,24 +8,24 @@ package mindful_test
 import (
 	"testing"
 
-	"mindful"
+	"mindful/internal/fleet"
 )
 
 func TestStageProfileBaseline(t *testing.T) {
-	cfg := mindful.DefaultFleetConfig()
+	cfg := fleet.DefaultConfig()
 	cfg.Implants = 16
 	cfg.Workers = 4
 	cfg.Ticks = 64
-	cfg.Decode = mindful.FleetDecodeConfig{Kind: mindful.FleetDecoderKalman}
+	cfg.Decode = fleet.DecodeConfig{Kind: fleet.DecoderKalman}
 
-	prof, agg, err := mindful.RunFleetProfile(cfg)
+	prof, agg, err := fleet.RunProfile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The timing decorator is digest-neutral: the profiled aggregate must
 	// be byte-identical to an untimed run of the same config.
-	plain, err := mindful.RunFleet(cfg)
+	plain, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

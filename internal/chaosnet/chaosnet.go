@@ -1,11 +1,11 @@
 // Package chaosnet is deterministic network fault injection for the
-// cluster control plane — the PR 3 fault-injection discipline
-// (internal/fault) lifted from the radio link to HTTP and TCP. A
-// Transport wraps any http.RoundTripper and injects the failures a
-// distributed control plane actually meets: requests that vanish before
-// reaching the peer, responses lost after the peer already acted (the
-// case that makes idempotency keys load-bearing), bodies severed
-// mid-read, added latency, and brief full partitions.
+// cluster control plane — the fault-injection discipline of
+// internal/fault lifted from the radio link to HTTP. A Transport wraps
+// any http.RoundTripper and injects the failures a distributed control
+// plane actually meets: requests that vanish before reaching the peer,
+// responses lost after the peer already acted (the case that makes
+// idempotency keys load-bearing), bodies severed mid-read, added
+// latency, and brief full partitions.
 //
 // Every decision is seeded and replayable. Draws are keyed by the
 // operation's identity (method + path) and a per-operation attempt
@@ -108,7 +108,7 @@ func (p Profile) Validate() error {
 		{"Delay", p.Delay}, {"Partition", p.Partition},
 	}
 	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // also rejects NaN
 			return fmt.Errorf("chaosnet: %s = %g outside [0, 1]", pr.name, pr.v)
 		}
 	}

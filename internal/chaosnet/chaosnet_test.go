@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,6 +47,11 @@ func TestValidate(t *testing.T) {
 		{DelayMin: -time.Second},
 		{DelayMin: time.Second, DelayMax: time.Millisecond},
 		{PartitionFor: -time.Second},
+		{Drop: math.NaN()},
+		{Reset: math.NaN()},
+		{Cut: math.NaN()},
+		{Delay: math.NaN()},
+		{Partition: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -43,7 +43,11 @@ func TestMigrationMidRefitAdaptive(t *testing.T) {
 		dec := dec
 		t.Run(dec, func(t *testing.T) {
 			t.Parallel()
-			c := startCluster(t, 2, serve.Config{TickInterval: time.Millisecond})
+			// An adaptive step can outlast a 1 ms tick under -race, and a
+			// session behind its schedule catches up at once, so 1 ms
+			// pacing leaves the poller a window of a few ms to see the
+			// session mid-run. 5 ms keeps 20 ticks ≥ 100 ms.
+			c := startCluster(t, 2, serve.Config{TickInterval: 5 * time.Millisecond})
 			cfg := adaptiveKeyConfig(dec)
 			cfg.Ticks = 40
 			wantFrame, wantDecode := digests(t, cfg)

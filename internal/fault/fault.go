@@ -124,7 +124,7 @@ func (p Profile) Validate() error {
 		{"DriftRate", p.DriftRate}, {"BrownoutProb", p.BrownoutProb},
 	}
 	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // also rejects NaN
 			return fmt.Errorf("fault: %s %g outside [0, 1]", pr.name, pr.v)
 		}
 	}

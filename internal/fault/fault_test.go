@@ -41,6 +41,27 @@ func TestProfileValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("fraction sum > 1 passed validation")
 	}
+	// NaN fails both bounds comparisons, so it needs its own check; a
+	// profile can arrive from outside inside a checkpoint blob.
+	nan := math.NaN()
+	for name, set := range map[string]func(*Profile){
+		"BurstPGB":     func(p *Profile) { p.BurstPGB = nan },
+		"BurstPBG":     func(p *Profile) { p.BurstPBG = nan },
+		"BERGood":      func(p *Profile) { p.BERGood = nan },
+		"BERBad":       func(p *Profile) { p.BERBad = nan },
+		"FrameLoss":    func(p *Profile) { p.FrameLoss = nan },
+		"DeadFrac":     func(p *Profile) { p.DeadFrac = nan },
+		"StuckFrac":    func(p *Profile) { p.StuckFrac = nan },
+		"DriftFrac":    func(p *Profile) { p.DriftFrac = nan },
+		"DriftRate":    func(p *Profile) { p.DriftRate = nan },
+		"BrownoutProb": func(p *Profile) { p.BrownoutProb = nan },
+	} {
+		p := DefaultProfile()
+		set(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("NaN %s passed validation", name)
+		}
+	}
 }
 
 // TestBurstLinkDeterminism: the same seed must replay the exact same

@@ -137,6 +137,11 @@ func (c Config) Validate() error {
 	if c.SampleBits < 1 || c.SampleBits > 16 {
 		return fmt.Errorf("fleet: sample bits %d outside 1..16", c.SampleBits)
 	}
+	// The AWGN channel runs on the linear Eb/N0 and its reciprocal N0;
+	// both must be finite and positive. This also rejects NaN and ±Inf.
+	if lin := math.Pow(10, c.EbN0dB/10); !(lin > 0) || math.IsInf(lin, 0) || math.IsInf(1/lin, 0) {
+		return fmt.Errorf("fleet: Eb/N0 %g dB has no finite positive linear value", c.EbN0dB)
+	}
 	if c.Modulation == nil {
 		return errors.New("fleet: no modulation configured")
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -210,6 +211,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SampleBits = 17 },
 		func(c *Config) { c.Modulation = nil },
 		func(c *Config) { c.Modulation = comm.NewQAM(3) }, // non-square QAM has no modem
+		// Eb/N0 values whose linear value (or its reciprocal) is not
+		// finite and positive would crash or poison the AWGN channel.
+		func(c *Config) { c.EbN0dB = math.NaN() },
+		func(c *Config) { c.EbN0dB = math.Inf(1) },
+		func(c *Config) { c.EbN0dB = math.Inf(-1) },
+		func(c *Config) { c.EbN0dB = -4000 },
+		func(c *Config) { c.EbN0dB = 4000 },
+		func(c *Config) { c.EbN0dB = -3090 }, // denormal linear value, infinite N0
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

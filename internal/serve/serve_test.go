@@ -182,6 +182,35 @@ func restoreSession(base string, blob []byte, ticks int) (SessionInfo, error) {
 	return info, json.NewDecoder(resp.Body).Decode(&info)
 }
 
+// TestCreateRejectsUnusableEbN0: an Eb/N0 whose linear value underflows
+// or overflows is a config error answered like any other invalid
+// session config, not a panic in the control handler, and the gateway
+// keeps serving.
+func TestCreateRejectsUnusableEbN0(t *testing.T) {
+	srv := startServer(t, Config{})
+	base := "http://" + srv.ControlAddr()
+	for _, db := range []float64{-4000, 4000} {
+		cfg := testSessionConfig()
+		cfg.EbN0dB = db
+		body, err := json.Marshal(CreateRequest{SessionConfig: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/api/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("ebn0_db %g: %v", db, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("ebn0_db %g: status %d, want %d", db, resp.StatusCode, http.StatusUnprocessableEntity)
+		}
+	}
+	if _, err := createSession(base, CreateRequest{SessionConfig: testSessionConfig()}); err != nil {
+		t.Fatalf("valid create after rejections: %v", err)
+	}
+}
+
 // TestSlowConsumerDropsOldest: a subscriber that never reads fills its
 // bounded queue; the session drops its oldest records and keeps
 // ticking — and a second session on the same gateway is unaffected.
