@@ -85,8 +85,8 @@ decode-smoke:
 	$(GO) test -run 'TestResetEqualsFresh|TestDecoderStepZeroAlloc' ./internal/decode/
 
 # Observability smoke: the flight recorder's guarantees — stage timing
-# is digest-neutral and covers all four stages (BENCH_stage.json), the
-# disabled path costs under 0.5% of a tick (BENCH_obs.json), the event
+# is digest-neutral and covers all four stages, the disabled path costs
+# under 0.5% of a tick (BENCH_obs.json), the event
 # log survives wraparound and round-trips canonically, and the serve
 # lifecycle/fault narration fires — under the race detector where the
 # recorder runs concurrently.
@@ -98,30 +98,30 @@ obs-smoke:
 
 # Cluster smoke: the ring property tests (uniformity + minimal
 # disruption), the migration determinism wall (every decoder kind,
-# bit-identical digests across a live mid-run migration), the chaos
-# kill/restore regression (SIGKILL-equivalent shard death, checkpoint
-# recovery, split-brain guard), and the drain-readyz contract — all
-# under the race detector — then a 3-shard self-hosted run with one
-# migration and one kill/restore, digest-checked, emitting
-# out/BENCH_cluster.json.
+# bit-identical digests across a live mid-run migration), subscribers
+# following a migration through the front tier, the chaos kill/restore
+# regression (SIGKILL-equivalent shard death right after a live
+# migration onto it, checkpoint recovery, split-brain guard, digests
+# pinned), the sweep driver's digest audit, and the drain-readyz
+# contract — all under the race detector.
 cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestMigration|TestMigrate|TestConcurrentMigrations|TestSubscriberFollowsMigration|TestChaos|TestCluster' ./internal/cluster/
 	$(GO) test -race -run 'TestExportImport|TestImportRejects|TestReadyzDraining|TestSubscribeMoved|TestKillIsAbrupt' ./internal/serve/
-	mkdir -p out
-	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 9 -subs 1 -ticks 150 -migrations 1 -kill -verify -out out/BENCH_cluster.json
 
 # Chaos-hardening smoke: the deterministic fault-injection primitives
 # (CRN monotonicity, per-op isolation, transport fates), the durable
 # checkpoint store's corruption table, the chaos determinism wall
 # (seeded control-plane faults, janitor convergence to exactly one copy
 # per key, bit-identical digests) and the front-tier restart recovery —
-# all under the race detector — then a short chaos sweep across four
-# intensities emitting out/BENCH_chaos.json.
+# all under the race detector — then the default chaos sweep (four
+# intensities, live migrations and a shard kill at each, every served
+# digest checked against an uninterrupted run) emitting
+# out/BENCH_chaos.json.
 chaos-smoke:
 	$(GO) test -race ./internal/chaosnet/ ./internal/cluster/store/
 	$(GO) test -race -run 'TestChaosDeterminismWall|TestChaosWallFaultFreePins|TestFrontTierRestartRecovers|TestRecoverShard' ./internal/cluster/
 	mkdir -p out
-	$(GO) run ./cmd/mindful cluster -shards 3 -sessions 8 -subs 1 -ticks 120 -migrations 2 -kill -chaos-sweep -chaos-seed 1 -chaos-intensities 0,0.5,1,2 -chaos-out out/BENCH_chaos.json
+	$(GO) run ./cmd/mindful cluster -chaos-out out/BENCH_chaos.json
 
 # Nonstationarity smoke: the drift package's unit tests, the
 # intensity-0 digest pin (attaching the drift subsystem at zero scale

@@ -1,8 +1,8 @@
-// The stage flight recorder's tracked baseline: a decode-in-the-loop
-// fleet run with per-stage timing attached must attribute every tick to
-// all four pipeline stages, stay digest-identical to the untimed run,
-// and serialize as BENCH_stage.json (with -update). This is the
-// `make obs-smoke` gate.
+// The stage flight recorder's gate: a decode-in-the-loop fleet run with
+// per-stage timing attached must attribute every tick to all four
+// pipeline stages and stay digest-identical to the untimed run. This is
+// the `make obs-smoke` gate; per-stage ns/frame numbers of record come
+// from the benchmark harness in bench/.
 package mindful_test
 
 import (
@@ -55,6 +55,4 @@ func TestStageProfileBaseline(t *testing.T) {
 			t.Errorf("stage %s missing from profile", name)
 		}
 	}
-
-	writeBaseline(t, "BENCH_stage.json", prof)
 }

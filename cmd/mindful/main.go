@@ -53,7 +53,7 @@ var errUsage = errors.New("usage error")
 
 // hasOwnFlags lists the subcommands that parse their own flags from the
 // remaining arguments.
-var hasOwnFlags = map[string]bool{"fleet": true, "profile": true, "serve": true, "loadgen": true, "cluster": true}
+var hasOwnFlags = map[string]bool{"fleet": true, "profile": true, "serve": true, "cluster": true}
 
 func main() {
 	flag.Usage = usage
@@ -80,7 +80,6 @@ func main() {
 		"fleet":    runFleet,
 		"profile":  runProfile,
 		"serve":    runServe,
-		"loadgen":  runLoadgen,
 		"cluster":  runCluster,
 		"observe":  runObserve,
 		"validate": runValidate,
@@ -122,13 +121,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mindful [-csv DIR] [-svg DIR] [-metrics FILE] [-trace FILE] [-events FILE] [-debug-addr ADDR] <table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|fig12|ablate|ext|fleet|profile|serve|loadgen|cluster|observe|all|validate>")
+	fmt.Fprintln(os.Stderr, "usage: mindful [-csv DIR] [-svg DIR] [-metrics FILE] [-trace FILE] [-events FILE] [-debug-addr ADDR] <table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|fig12|ablate|ext|fleet|profile|serve|cluster|observe|all|validate>")
 	fmt.Fprintln(os.Stderr, "       mindful fleet [-n N] [-workers K] [-ticks T] [-channels C] [-qam B] [-ebn0 DB] [-seed S] [-scaling FILE]")
 	fmt.Fprintln(os.Stderr, "                     [-faults I] [-arq N] [-fec D] [-conceal none|hold|interp] [-fault-sweep FILE] [-stage-timing]")
 	fmt.Fprintln(os.Stderr, "       mindful profile [fleet pipeline flags] [-out FILE]")
 	fmt.Fprintln(os.Stderr, "       mindful serve [-ctl ADDR] [-stream ADDR] [-snapshot-dir DIR] [-max-sessions N] [-queue N] [-stall D] [-tick-interval D]")
-	fmt.Fprintln(os.Stderr, "       mindful loadgen [-sessions N] [-subs N] [-ticks T] [-channels C] [-qam B] [-ebn0 DB] [-seed S] [-out FILE]")
-	fmt.Fprintln(os.Stderr, "       mindful cluster [-shards N] [-sessions N] [-subs N] [-ticks T] [-migrations M] [-kill] [-verify] [-out FILE]")
+	fmt.Fprintln(os.Stderr, "       mindful cluster [-shards N] [-sessions N] [-subs N] [-ticks T] [-migrations M] [-kill] [-chaos-seed S] [-chaos-intensities L] [-chaos-out FILE]")
 	flag.PrintDefaults()
 }
 

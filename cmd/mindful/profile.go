@@ -10,8 +10,8 @@ import (
 )
 
 // runProfile runs one fleet configuration with the stage flight recorder
-// attached and writes the per-stage ns/frame breakdown as JSON (the
-// BENCH_stage.json schema):
+// attached and prints the per-stage ns/frame breakdown; -out also
+// writes it as JSON:
 //
 //	mindful profile [-n N] [-workers K] [-ticks T] [-channels C]
 //	                [-qam B] [-ebn0 DB] [-seed S] [-faults I] [-arq N]
@@ -23,7 +23,7 @@ import (
 func runProfile() error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	build := fleetFlags(fs)
-	out := fs.String("out", "BENCH_stage.json", "write the stage profile as JSON to FILE (empty = table only)")
+	out := fs.String("out", "", "write the stage profile as JSON to FILE (empty = table only)")
 	if err := fs.Parse(flag.Args()[1:]); err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}

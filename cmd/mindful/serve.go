@@ -2,20 +2,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"mindful/internal/drift"
 	"mindful/internal/fleet"
-	"mindful/internal/report"
 	"mindful/internal/serve"
-	"mindful/internal/serve/checkpoint"
 )
 
 // runServe hosts the streaming session gateway until SIGINT/SIGTERM:
@@ -88,97 +84,4 @@ func runServe() error {
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return srv.Shutdown(sctx)
-}
-
-// runLoadgen drives a gateway at fleet scale and writes the measured
-// throughput and delivery latency as JSON (the BENCH_serve.json schema):
-//
-//	mindful loadgen [-sessions N] [-subs N] [-ticks T] [-channels C]
-//	                [-qam B] [-ebn0 DB] [-seed S] [-decoder NAME]
-//	                [-drift I] [-adapt] [-out FILE]
-//
-// With no flags it runs the baseline 100 sessions × 2 subscribers × 100
-// frames against a self-hosted loopback gateway.
-func runLoadgen() error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	def := serve.DefaultLoadConfig()
-	sessions := fs.Int("sessions", def.Sessions, "concurrent sessions")
-	subs := fs.Int("subs", def.SubsPerSession, "subscribers per session")
-	ticks := fs.Int("ticks", def.Ticks, "frames per session")
-	channels := fs.Int("channels", def.Session.Channels, "channels per implant")
-	qam := fs.Int("qam", def.Session.QAMBits, "QAM bits per symbol (0 = OOK)")
-	ebn0 := fs.Float64("ebn0", def.Session.EbN0dB, "AWGN operating point Eb/N0 [dB]")
-	seed := fs.Int64("seed", def.Session.Seed, "base seed (offset per session)")
-	decoder := fs.String("decoder", "", "attach a kinematics decoder to every session: kalman, wiener, dnn or fixed")
-	driftI := fs.Float64("drift", 0, "nonstationarity intensity for every session (0 = off)")
-	adapt := fs.Bool("adapt", false, "close the recalibration loop on every session (needs a linear -decoder)")
-	out := fs.String("out", "BENCH_serve.json", "write the load result as JSON to FILE")
-	if err := fs.Parse(flag.Args()[1:]); err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
-	}
-	if _, err := fleet.ParseDecoderKind(*decoder); err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
-	}
-
-	cfg := serve.LoadConfig{
-		Sessions:       *sessions,
-		SubsPerSession: *subs,
-		Ticks:          *ticks,
-		Decoder:        *decoder,
-		Session: checkpoint.SessionConfig{
-			Channels:     *channels,
-			SampleRateHz: def.Session.SampleRateHz,
-			SampleBits:   def.Session.SampleBits,
-			QAMBits:      *qam,
-			EbN0dB:       *ebn0,
-			Seed:         *seed,
-		},
-	}
-	if *driftI > 0 {
-		p := fleet.DefaultSweepProfile().Scale(*driftI)
-		cfg.Session.Drift = &p
-	}
-	if *adapt {
-		cfg.Session.Calibrate, cfg.Session.Track, cfg.Session.Adapt = true, true, true
-	}
-	res, err := serve.RunLoad(cfg)
-	if err != nil {
-		return err
-	}
-
-	tb := report.NewTable(fmt.Sprintf("Loadgen: %d sessions × %d subscribers × %d frames",
-		res.Sessions, res.SubsPerSession, res.Ticks),
-		"Metric", "Value")
-	tb.AddRow("records received", fmt.Sprintf("%d", res.Records))
-	tb.AddRow("dropped frames", fmt.Sprintf("%d", res.Dropped))
-	tb.AddRow("evicted subscribers", fmt.Sprintf("%d", res.Evicted))
-	if *decoder != "" && *decoder != "none" {
-		tb.AddRow("decoded steps", fmt.Sprintf("%d", res.DecodedSteps))
-	}
-	tb.AddRow("elapsed", fmt.Sprintf("%.3f s", res.ElapsedSeconds))
-	tb.AddRow("sessions/s", fmt.Sprintf("%.1f", res.SessionsPerSec))
-	tb.AddRow("frames/s", fmt.Sprintf("%.0f", res.FramesPerSec))
-	tb.AddRow("p50 delivery latency", fmt.Sprintf("%.3f ms", res.P50LatencyMs))
-	tb.AddRow("p99 delivery latency", fmt.Sprintf("%.3f ms", res.P99LatencyMs))
-	tb.AddRow("p99.9 delivery latency", fmt.Sprintf("%.3f ms", res.P999LatencyMs))
-	tb.AddRow("max delivery latency", fmt.Sprintf("%.3f ms", res.MaxLatencyMs))
-	fmt.Print(tb.String())
-
-	if *out != "" {
-		bench := struct {
-			Benchmark  string `json:"benchmark"`
-			GOMAXPROCS int    `json:"gomaxprocs"`
-			NumCPU     int    `json:"num_cpu"`
-			*serve.LoadResult
-		}{"serve_loadgen", runtime.GOMAXPROCS(0), runtime.NumCPU(), res}
-		buf, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-	return nil
 }

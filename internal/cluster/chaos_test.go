@@ -13,7 +13,9 @@ import (
 // severed subscriber through the front tier, and prove the recovered
 // sessions finish with digests identical to uninterrupted runs —
 // checkpoint restore is bit-exact, so even a crash is invisible to the
-// simulation's output.
+// simulation's output. The victim is the shard a session was just
+// live-migrated onto, so that session is recovered from a checkpoint
+// its new owner produced.
 func TestChaosKillRestore(t *testing.T) {
 	c := startCluster(t, 3, serve.Config{TickInterval: time.Millisecond})
 	cfg := testSessionConfig()
@@ -32,31 +34,31 @@ func TestChaosKillRestore(t *testing.T) {
 		waitKeyTick(t, c, key, 10)
 	}
 
-	// The recovery substrate: checkpoint everything, then pick a victim
-	// shard that hosts at least one session.
+	// Live-migrate one session; the shard it lands on is the victim.
+	victimKey := keys[0]
+	before, err := c.SessionInfo(victimKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := "shard-0"
+	if before.Shard == victim {
+		victim = "shard-1"
+	}
+	if err := c.Migrate(victimKey, victim); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := c.SessionInfo(victimKey); err != nil || moved.Shard != victim || moved.State != serve.StateRunning {
+		t.Fatalf("after migrate: %+v, %v; want running on %s", moved, err, victim)
+	}
+
+	// The recovery substrate: checkpoint everything after the move.
 	if stored := c.CheckpointNow(); stored != len(keys) {
 		t.Fatalf("checkpointed %d of %d sessions", stored, len(keys))
 	}
-	var victim string
 	var victimSessions int
 	for _, sh := range c.Topology().Shards {
-		if sh.Sessions > 0 {
-			victim, victimSessions = sh.ID, sh.Sessions
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no shard hosts a session")
-	}
-	var victimKey string
-	for _, key := range keys {
-		info, err := c.SessionInfo(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Shard == victim {
-			victimKey = key
-			break
+		if sh.ID == victim {
+			victimSessions = sh.Sessions
 		}
 	}
 
@@ -263,5 +265,46 @@ func TestChaosLastShardLoss(t *testing.T) {
 	topo := c.Topology()
 	if len(topo.Shards) != 0 || topo.Sessions != 0 {
 		t.Fatalf("topology after total loss: %d shards, %d sessions, want 0/0", len(topo.Shards), topo.Sessions)
+	}
+}
+
+// TestRecoverShardKeepsRunIntent: a session paused behind the front
+// tier's back — the state a failed migration's abort leaves for the
+// janitor — is checkpointed paused, and then its shard dies. Recovery
+// must restore it in its recorded intent (running), not in the paused
+// state the checkpoint observed, or the janitor never resumes it and it
+// never finishes.
+func TestRecoverShardKeepsRunIntent(t *testing.T) {
+	c := startCluster(t, 2, serve.Config{TickInterval: time.Millisecond})
+	cfg := testSessionConfig()
+	cfg.Ticks = 200
+	wantFrame, _ := digests(t, cfg)
+	info, err := c.CreateSession(serve.CreateRequest{SessionConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitKeyTick(t, c, info.Key, 10)
+
+	p, sh, err := c.lookup(info.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.client.pauseSession(sh.CtlBase, p.LocalID); err != nil {
+		t.Fatal(err)
+	}
+	if stored := c.CheckpointNow(); stored != 1 {
+		t.Fatalf("checkpointed %d of 1 sessions", stored)
+	}
+	if err := c.KillShard(sh.ID); err != nil {
+		t.Fatal(err)
+	}
+	if recovered, lost, err := c.RecoverShard(sh.ID); err != nil || recovered != 1 || lost != 0 {
+		t.Fatalf("recover: %d recovered, %d lost, %v; want 1, 0, nil", recovered, lost, err)
+	}
+	c.ReconcileNow()
+
+	done := waitKeyState(t, c, info.Key, serve.StateDone)
+	if done.Digest != wantFrame {
+		t.Fatalf("recovered session digest %s, want uninterrupted %s", done.Digest, wantFrame)
 	}
 }

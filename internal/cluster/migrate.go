@@ -378,10 +378,14 @@ func (c *Cluster) RecoverShard(id string) (recovered, lost int, err error) {
 	if c.mShards != nil {
 		c.mShards.Add(-1)
 	}
+	// A routed orphan restarts in its recorded run intent, not in the
+	// state its checkpoint observed: a session a failed migration left
+	// paused for the janitor still wants to run.
 	type orphan struct {
-		key  string
-		ckpt storedCkpt
-		has  bool
+		key     string
+		ckpt    storedCkpt
+		has     bool
+		wantRun bool
 	}
 	orphans := make([]orphan, 0)
 	for key, p := range c.table {
@@ -389,7 +393,7 @@ func (c *Cluster) RecoverShard(id string) (recovered, lost int, err error) {
 			continue
 		}
 		ck, has := c.ckpts[key]
-		orphans = append(orphans, orphan{key, ck, has})
+		orphans = append(orphans, orphan{key, ck, has, p.WantRun})
 	}
 	// A restarted front tier reloads its durable checkpoints but not the
 	// memory-only routing table, so the crashed generation's sessions
@@ -403,7 +407,7 @@ func (c *Cluster) RecoverShard(id string) (recovered, lost int, err error) {
 	// the janitor's orphan scan removes it.
 	for key, ck := range c.ckpts {
 		if _, routed := c.table[key]; !routed {
-			orphans = append(orphans, orphan{key, ck, true})
+			orphans = append(orphans, orphan{key, ck, true, ck.Running})
 		}
 	}
 	c.mu.Unlock()
@@ -442,9 +446,9 @@ func (c *Cluster) RecoverShard(id string) (recovered, lost int, err error) {
 			continue
 		}
 		c.mu.Lock()
-		c.table[o.key] = placement{ShardID: owner, LocalID: info.ID, WantRun: o.ckpt.Running}
+		c.table[o.key] = placement{ShardID: owner, LocalID: info.ID, WantRun: o.wantRun}
 		c.mu.Unlock()
-		if o.ckpt.Running {
+		if o.wantRun {
 			if err := c.client.resumeSession(dst.CtlBase, info.ID); err != nil {
 				if cur, gerr := c.client.getSession(dst.CtlBase, info.ID); gerr != nil || cur.State != serve.StateDone {
 					// The copy is restored and routed, just paused: count it

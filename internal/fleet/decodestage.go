@@ -151,6 +151,11 @@ func (c DecodeConfig) withDefaults() DecodeConfig {
 	return c
 }
 
+// MaxMeterBins bounds MeterRef and MeterWin: 64× the 16-bin default.
+// The meter's window ring holds MeterWin × Channels values, so at
+// MaxChannels it stays at 64 MiB.
+const MaxMeterBins = 1024
+
 // Validate checks the configuration.
 func (c DecodeConfig) Validate() error {
 	if c.Kind < DecoderNone || c.Kind > DecoderFixed {
@@ -185,8 +190,8 @@ func (c DecodeConfig) Validate() error {
 	if c.RefitJitter < 0 || math.IsNaN(c.RefitJitter) || math.IsInf(c.RefitJitter, 0) {
 		return fmt.Errorf("fleet: refit jitter %g must be finite and non-negative", c.RefitJitter)
 	}
-	if c.MeterRef < 0 || c.MeterWin < 0 {
-		return fmt.Errorf("fleet: negative meter windows %d/%d", c.MeterRef, c.MeterWin)
+	if c.MeterRef < 0 || c.MeterWin < 0 || c.MeterRef > MaxMeterBins || c.MeterWin > MaxMeterBins {
+		return fmt.Errorf("fleet: meter windows %d/%d outside 0..%d", c.MeterRef, c.MeterWin, MaxMeterBins)
 	}
 	if c.Adapt {
 		rc := decode.RecalConfig{Buffer: c.RefitBuffer, Every: c.RefitEvery, Blend: c.RefitBlend}

@@ -117,6 +117,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on the sizes a Config may request. Validate enforces them
+// before anything is allocated, so an accepted config runs or returns an
+// error instead of exhausting memory.
+const (
+	// MaxChannels is the largest electrode count the paper evaluates
+	// (n = 8192 in Figs. 5–7 and 12).
+	MaxChannels = 8192
+	// MaxSampleRateHz is 5× the fastest Table 1 design in internal/soc
+	// (20 kHz).
+	MaxSampleRateHz = 100e3
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Implants < 1 {
@@ -128,11 +140,11 @@ func (c Config) Validate() error {
 	if c.Batch < 0 {
 		return fmt.Errorf("fleet: negative batch size %d", c.Batch)
 	}
-	if c.Channels < 1 {
-		return errors.New("fleet: need at least one channel")
+	if c.Channels < 1 || c.Channels > MaxChannels {
+		return fmt.Errorf("fleet: channels %d outside 1..%d", c.Channels, MaxChannels)
 	}
-	if c.SampleRate.Hz() <= 0 {
-		return errors.New("fleet: sample rate must be positive")
+	if hz := c.SampleRate.Hz(); !(hz > 0) || hz > MaxSampleRateHz {
+		return fmt.Errorf("fleet: sample rate %g Hz outside (0, %g]", hz, float64(MaxSampleRateHz))
 	}
 	if c.SampleBits < 1 || c.SampleBits > 16 {
 		return fmt.Errorf("fleet: sample bits %d outside 1..16", c.SampleBits)

@@ -219,6 +219,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.EbN0dB = -4000 },
 		func(c *Config) { c.EbN0dB = 4000 },
 		func(c *Config) { c.EbN0dB = -3090 }, // denormal linear value, infinite N0
+		// Sizes past their bounds would exhaust memory while the
+		// pipeline is built (1e12 Hz asks apTemplate for ~9.6 GB).
+		func(c *Config) { c.Channels = MaxChannels + 1 },
+		func(c *Config) { c.SampleRate = units.Hertz(MaxSampleRateHz + 1) },
+		func(c *Config) { c.SampleRate = units.Hertz(1e12) },
+		func(c *Config) { c.SampleRate = units.Hertz(math.NaN()) },
+		func(c *Config) { c.Decode = DecodeConfig{Kind: DecoderKalman, Track: true, MeterRef: MaxMeterBins + 1} },
+		func(c *Config) { c.Decode = DecodeConfig{Kind: DecoderKalman, Track: true, MeterWin: MaxMeterBins + 1} },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -229,5 +237,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	atBounds := DefaultConfig()
+	atBounds.Channels = MaxChannels
+	atBounds.SampleRate = units.Hertz(MaxSampleRateHz)
+	atBounds.Decode = DecodeConfig{Kind: DecoderKalman, Track: true, MeterRef: MaxMeterBins, MeterWin: MaxMeterBins}
+	if err := atBounds.Validate(); err != nil {
+		t.Errorf("config at every size bound rejected: %v", err)
 	}
 }

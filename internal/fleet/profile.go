@@ -10,8 +10,8 @@ import (
 
 // StageProfile is the flight recorder's answer to "where does the tick
 // go": a fleet run's per-stage ns/frame breakdown, which makes
-// throughput regressions attributable to a stage. Serialized as
-// BENCH_stage.json by `mindful profile`.
+// throughput regressions attributable to a stage. Printed, and with
+// -out written as JSON, by `mindful profile`.
 type StageProfile struct {
 	Implants  int    `json:"implants"`
 	Workers   int    `json:"workers"`
@@ -45,8 +45,7 @@ func RunProfile(cfg Config) (*StageProfile, *Aggregate, error) {
 	return prof, agg, nil
 }
 
-// WriteJSON writes the profile as indented JSON (the BENCH_stage.json
-// format).
+// WriteJSON writes the profile as indented JSON.
 func (p *StageProfile) WriteJSON(w io.Writer) error {
 	out, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {

@@ -297,8 +297,8 @@ func (h *Histogram) Observe(v float64) {
 
 // NewHistogram returns a standalone histogram (not attached to any
 // registry) with the given ascending bucket bounds — the building block
-// behind StageTimer and the loadgen latency estimator. Histograms from
-// Registry.Histogram share the same implementation.
+// behind StageTimer and the chaos sweep's delivery-latency estimator.
+// Histograms from Registry.Histogram share the same implementation.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {

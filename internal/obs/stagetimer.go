@@ -25,8 +25,8 @@ const ewmaAlpha = 1.0 / 64
 // (hundreds of µs) both land in interior buckets of the same histogram.
 // The quantile estimates are additionally clamped to the observed
 // [min, max] in Stats, so a sub-first-bucket sample can never report a
-// p50 below the fastest recorded step (the BENCH_stage.json p50 ≈ 130ns
-// vs mean ≈ 213µs artifact).
+// p50 below the fastest recorded step (a stage profile once reported a
+// decode p50 ≈ 130ns against a mean ≈ 213µs).
 func stageTimerBuckets() []float64 {
 	return ExpBuckets(16, 1.8, 28)
 }

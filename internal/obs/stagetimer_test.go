@@ -41,7 +41,7 @@ func TestStageTimerStats(t *testing.T) {
 }
 
 // TestStageTimerQuantilesWithinRange is the regression test for the
-// BENCH_stage.json artifact where a mostly-no-op decode stage reported
+// stage-profile artifact where a mostly-no-op decode stage reported
 // p50 ≈ 130ns against a mean of ~213µs: with samples far below the
 // first histogram bucket mixed with heavy tail samples, every reported
 // quantile must still lie within [min, max] of what was recorded.

@@ -171,14 +171,24 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // TestRestoreRejectsTamperedState: a blob whose state no longer matches
 // its own config must fail restore, not produce a wrong session.
 func TestRestoreRejectsTamperedState(t *testing.T) {
-	cfg := fullConfig()
-	blob := snapshotAfter(t, cfg, 8)
-	cp, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Config.Seed++ // config now disagrees with the recorded RNG streams
-	if _, _, err := Restore(Encode(cp)); err == nil {
-		t.Fatal("restore with mismatched seed succeeded")
+	blob := snapshotAfter(t, fullConfig(), 8)
+	for _, tc := range []struct {
+		name   string
+		tamper func(*SessionConfig)
+	}{
+		// The config now disagrees with the recorded RNG streams.
+		{"seed", func(c *SessionConfig) { c.Seed++ }},
+		// A forged size past its bound is rejected before the pipeline
+		// builder allocates for it.
+		{"sample-rate", func(c *SessionConfig) { c.SampleRateHz = 1e12 }},
+	} {
+		cp, err := Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.tamper(&cp.Config)
+		if _, _, err := Restore(Encode(cp)); err == nil {
+			t.Errorf("restore with tampered %s succeeded", tc.name)
+		}
 	}
 }

@@ -13,13 +13,17 @@ const (
 	paceSessions = 4
 	paceTicks    = 400
 	paceInterval = 500 * time.Microsecond
+	// pauseTicks is the pause subtest's longer run: it pauses once the
+	// poller sees tick pauseTicks/10, which leaves 450 ms of schedule
+	// for a descheduled poller to wake up in before the sessions finish.
+	pauseTicks = 1000
 	// paceAttempts bounds the retries of the upper timing bound only: a
 	// loop that really drifts misses it on every attempt, a scheduler
 	// hiccup on a busy machine does not.
 	paceAttempts = 3
 )
 
-func paceConfig(i int) checkpoint.SessionConfig {
+func paceConfig(i, ticks int) checkpoint.SessionConfig {
 	return checkpoint.SessionConfig{
 		Channels:     32,
 		SampleRateHz: 2000,
@@ -27,18 +31,18 @@ func paceConfig(i int) checkpoint.SessionConfig {
 		QAMBits:      4,
 		EbN0dB:       12,
 		Seed:         int64(100 + i),
-		Ticks:        paceTicks,
+		Ticks:        ticks,
 	}
 }
 
-// paceGateway boots a paced gateway with paceSessions sessions created
-// paused.
-func paceGateway(t *testing.T) (*Server, []*Session) {
+// paceGateway boots a paced gateway with paceSessions sessions of the
+// given length created paused.
+func paceGateway(t *testing.T, ticks int) (*Server, []*Session) {
 	t.Helper()
 	srv := startServer(t, Config{TickInterval: paceInterval})
 	sessions := make([]*Session, paceSessions)
 	for i := range sessions {
-		sess, err := srv.CreateSession(paceConfig(i), true)
+		sess, err := srv.CreateSession(paceConfig(i, ticks), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,18 +70,18 @@ func waitDone(sessions []*Session) {
 // finishPaced checks finished sessions: each digest against an
 // uninterrupted in-process run, and the tick-lateness histogram's count
 // against the ticks stepped.
-func finishPaced(t *testing.T, srv *Server, sessions []*Session) {
+func finishPaced(t *testing.T, srv *Server, sessions []*Session, ticks int) {
 	t.Helper()
 	for i, sess := range sessions {
 		info := sess.info()
-		if info.State != StateDone || info.Tick != paceTicks {
-			t.Fatalf("session %d: %s at tick %d, want done at %d", i, info.State, info.Tick, paceTicks)
+		if info.State != StateDone || info.Tick != ticks {
+			t.Fatalf("session %d: %s at tick %d, want done at %d", i, info.State, info.Tick, ticks)
 		}
-		if want := digestAfter(t, paceConfig(i), paceTicks); info.Digest != want {
+		if want := digestAfter(t, paceConfig(i, ticks), ticks); info.Digest != want {
 			t.Errorf("session %d: digest %s, want %s", i, info.Digest, want)
 		}
 	}
-	if got, want := srv.tickLateness.Count(), int64(paceSessions*paceTicks); got != want {
+	if got, want := srv.tickLateness.Count(), int64(paceSessions*ticks); got != want {
 		t.Errorf("tick-lateness observations = %d, want one per tick stepped (%d)", got, want)
 	}
 }
@@ -91,12 +95,12 @@ func TestTickSchedulePace(t *testing.T) {
 		ideal := time.Duration(paceTicks) * paceInterval
 		var ratios []float64
 		for attempt := 0; attempt < paceAttempts; attempt++ {
-			srv, sessions := paceGateway(t)
+			srv, sessions := paceGateway(t, paceTicks)
 			start := time.Now()
 			resumeAll(t, sessions)
 			waitDone(sessions)
 			elapsed := time.Since(start)
-			finishPaced(t, srv, sessions)
+			finishPaced(t, srv, sessions, paceTicks)
 			// Tick 0 is due at the resume, tick 399 at 399 intervals later.
 			if elapsed < (paceTicks-1)*paceInterval {
 				t.Fatalf("%d ticks took %v, under %v: the loop is free-running",
@@ -115,7 +119,7 @@ func TestTickSchedulePace(t *testing.T) {
 
 	t.Run("free-run", func(t *testing.T) {
 		srv := startServer(t, Config{})
-		sess, err := srv.CreateSession(paceConfig(0), false)
+		sess, err := srv.CreateSession(paceConfig(0, paceTicks), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +130,9 @@ func TestTickSchedulePace(t *testing.T) {
 	})
 
 	t.Run("pause", func(t *testing.T) {
-		srv, sessions := paceGateway(t)
+		srv, sessions := paceGateway(t, pauseTicks)
 		resumeAll(t, sessions)
-		for sessions[0].info().Tick < paceTicks/2 {
+		for sessions[0].info().Tick < pauseTicks/10 {
 			time.Sleep(time.Millisecond)
 		}
 		for _, sess := range sessions {
@@ -138,14 +142,14 @@ func TestTickSchedulePace(t *testing.T) {
 		}
 		remaining := 0
 		for _, sess := range sessions {
-			remaining = max(remaining, paceTicks-sess.info().Tick)
+			remaining = max(remaining, pauseTicks-sess.info().Tick)
 		}
 		time.Sleep(50 * time.Millisecond)
 		start := time.Now()
 		resumeAll(t, sessions)
 		waitDone(sessions)
 		elapsed := time.Since(start)
-		finishPaced(t, srv, sessions)
+		finishPaced(t, srv, sessions, pauseTicks)
 		if floor := time.Duration(0.9 * float64(time.Duration(remaining)*paceInterval)); elapsed < floor {
 			t.Fatalf("%d ticks after a 50 ms pause took %v, under %v: the pause banked ticks",
 				remaining, elapsed, floor)

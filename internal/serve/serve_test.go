@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mindful/internal/fleet"
 	"mindful/internal/serve/checkpoint"
 )
 
@@ -44,6 +45,56 @@ func startServer(t *testing.T, cfg Config) *Server {
 		srv.Shutdown(ctx)
 	})
 	return srv
+}
+
+// Minimal HTTP helpers for the tests — the control plane is plain JSON.
+
+func createSession(base string, req CreateRequest) (SessionInfo, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	resp, err := http.Post(base+"/api/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return SessionInfo{}, httpError("create session", resp)
+	}
+	var info SessionInfo
+	return info, json.NewDecoder(resp.Body).Decode(&info)
+}
+
+func getSession(base, id string) (SessionInfo, error) {
+	resp, err := http.Get(base + "/api/sessions/" + id)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return SessionInfo{}, httpError("get session", resp)
+	}
+	var info SessionInfo
+	return info, json.NewDecoder(resp.Body).Decode(&info)
+}
+
+func post(url string, body []byte) error {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return httpError("post "+url, resp)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return nil
+}
+
+func httpError(op string, resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	return fmt.Errorf("serve: %s: HTTP %d: %s", op, resp.StatusCode, bytes.TrimSpace(msg))
 }
 
 // digestAfter runs the session config uninterrupted for n ticks
@@ -192,23 +243,65 @@ func TestCreateRejectsUnusableEbN0(t *testing.T) {
 	for _, db := range []float64{-4000, 4000} {
 		cfg := testSessionConfig()
 		cfg.EbN0dB = db
-		body, err := json.Marshal(CreateRequest{SessionConfig: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+"/api/sessions", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("ebn0_db %g: %v", db, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("ebn0_db %g: status %d, want %d", db, resp.StatusCode, http.StatusUnprocessableEntity)
+		if code := createStatus(t, base, cfg); code != http.StatusUnprocessableEntity {
+			t.Errorf("ebn0_db %g: status %d, want %d", db, code, http.StatusUnprocessableEntity)
 		}
 	}
 	if _, err := createSession(base, CreateRequest{SessionConfig: testSessionConfig()}); err != nil {
 		t.Fatalf("valid create after rejections: %v", err)
 	}
+}
+
+// TestCreateRejectsOversizedConfig: each size one past its bound is a
+// 422 before anything is allocated — 1e12 Hz used to kill the gateway
+// with an unrecoverable out-of-memory — and the gateway still creates a
+// valid session afterwards.
+func TestCreateRejectsOversizedConfig(t *testing.T) {
+	srv := startServer(t, Config{})
+	base := "http://" + srv.ControlAddr()
+	for _, tc := range []struct {
+		field  string
+		mutate func(*checkpoint.SessionConfig)
+	}{
+		{"channels", func(c *checkpoint.SessionConfig) { c.Channels = fleet.MaxChannels + 1 }},
+		{"sample_rate_hz", func(c *checkpoint.SessionConfig) { c.SampleRateHz = fleet.MaxSampleRateHz + 1 }},
+		{"sample_rate_hz", func(c *checkpoint.SessionConfig) { c.SampleRateHz = 1e12 }},
+		{"meter_ref", func(c *checkpoint.SessionConfig) {
+			c.Decoder, c.Track, c.MeterRef = "kalman", true, fleet.MaxMeterBins+1
+		}},
+		{"meter_win", func(c *checkpoint.SessionConfig) {
+			c.Decoder, c.Track, c.MeterWin = "kalman", true, fleet.MaxMeterBins+1
+		}},
+	} {
+		cfg := testSessionConfig()
+		tc.mutate(&cfg)
+		if code := createStatus(t, base, cfg); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s past its bound: status %d, want %d", tc.field, code, http.StatusUnprocessableEntity)
+		}
+	}
+	info, err := createSession(base, CreateRequest{SessionConfig: testSessionConfig()})
+	if err != nil {
+		t.Fatalf("valid create after rejections: %v", err)
+	}
+	if done := waitState(t, base, info.ID, StateDone); done.Tick != testSessionConfig().Ticks {
+		t.Fatalf("valid session after rejections stopped at tick %d", done.Tick)
+	}
+}
+
+// createStatus POSTs a session config and returns the response status.
+func createStatus(t *testing.T, base string, cfg checkpoint.SessionConfig) int {
+	t.Helper()
+	body, err := json.Marshal(CreateRequest{SessionConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/api/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestSlowConsumerDropsOldest: a subscriber that never reads fills its
