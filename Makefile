@@ -2,16 +2,16 @@
 #
 # `make check` is the tier-1.5 gate: everything tier-1 runs
 # (build + tests) plus vet, gofmt drift, the race detector (which covers
-# the fleet determinism wall), and a short fuzz smoke of the frame parser
-# and Rice codec. It writes no tracked file: the baseline tests only
-# assert (rerun them with -update to regenerate a BENCH_*.json on
-# purpose), and the CLI runs write their BENCH_*.json under the
-# git-ignored out/.
+# the fleet determinism wall), the benchmark workloads' seed-1 digest
+# pins, and a short fuzz smoke of the frame parser and Rice codec. It
+# writes no tracked file: the baseline tests only assert (rerun them
+# with -update to regenerate a BENCH_*.json on purpose), and the CLI
+# runs write their BENCH_*.json under the git-ignored out/.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check fmt vet race bench fuzz-smoke fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke determinism clean
+.PHONY: all build test check fmt vet race bench fuzz-smoke fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke bench-pins determinism clean
 
 all: build
 
@@ -77,12 +77,15 @@ serve-smoke:
 # frame digest must be byte-identical with and without the decoder, the
 # decode digest worker-invariant, and a mid-run checkpoint must resume
 # bit-identically with decoder temporal state — plus the v1 golden blob
-# under the v2 codec and the gateway-layer decoded stream.
+# under the v2 codec, the gateway-layer decoded stream, the decoders'
+# zero-allocation pins and the linalg kernels against their bit-exact
+# accessor-loop oracles.
 decode-smoke:
 	$(GO) test -race -run 'TestDecode|TestCheckpointResumeWithDecoder|TestSessionDecoderDeterministic' ./internal/fleet/
 	$(GO) test -race -run 'TestGoldenV1|TestRoundTripWithDecoder|TestRestoreContinuesBitIdenticallyWithDecoder' ./internal/serve/checkpoint/
 	$(GO) test -race -run 'TestDecodedStream|TestGatewayRestoreWithDecoder|TestDefaultDecoderApplied' ./internal/serve/
-	$(GO) test -run 'TestResetEqualsFresh|TestDecoderStepZeroAlloc' ./internal/decode/
+	$(GO) test -run 'TestResetEqualsFresh|TestDecoderStepZeroAlloc|TestRecalibratorFeedZeroAlloc' ./internal/decode/
+	$(GO) test -run 'MatchesOracle' ./internal/linalg/
 
 # Observability smoke: the flight recorder's guarantees — stage timing
 # is digest-neutral and covers all four stages, the disabled path costs
@@ -160,12 +163,29 @@ batch-smoke:
 
 # Benchmark smoke: the benchmark harness is a module of its own
 # (mindful/bench), so the root `go test ./...` never reaches it. Its
-# tests pin the workloads' reference digests and check -compare and the
-# run statistics.
+# tests run every workload at a tiny size and seed 7, where no digest is
+# pinned, and check -compare and the run statistics.
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-check: build vet fmt race fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke fuzz-smoke
+# Benchmark pins: every workload once at full size and seed 1, the seed
+# bench/workloads.go pins their output digests at. The last line of a
+# run reports "correct":false when one output bit moved, so a kernel
+# change that is not bit-identical fails here, not only in a benchmark
+# comparison. Build outputs go to the git-ignored .bench_build/ and
+# bench/out/.
+BENCH_WORKLOADS = fleet-clean fleet-decode fleet-lossy serve-realtime cluster-migrate
+bench-pins:
+	@for w in $(BENCH_WORKLOADS); do \
+		line="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 | tail -n 1)"; \
+		echo "$$w: $$line"; \
+		case "$$line" in \
+		*'"correct":true'*) ;; \
+		*) echo "bench-pins: $$w does not reproduce its seed-1 pin"; exit 1 ;; \
+		esac; \
+	done
+
+check: build vet fmt race fault-smoke serve-smoke decode-smoke obs-smoke cluster-smoke chaos-smoke drift-smoke batch-smoke bench-smoke bench-pins fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -245,7 +245,7 @@ func New(cfg Config) (*Cluster, error) {
 		m.Help("cluster_reconcile_passes_total", "Janitor reconciliation passes run.")
 		m.Help("cluster_reconcile_repairs_total", "Stuck migration states converged by the janitor.")
 	}
-	c.client = newShardClient(cfg, c.mRetries, c.mGiveups)
+	c.client = newShardClient(cfg, c.stop, c.mRetries, c.mGiveups)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
 		if err != nil {

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,5 +293,76 @@ func TestClusterRemoveShardDrains(t *testing.T) {
 	}
 	if err := c.RemoveShard("shard-1"); err == nil {
 		t.Fatal("removing a removed shard succeeded")
+	}
+}
+
+// unavailableTransport passes control calls through until failing is
+// set, then answers every one 503 without reaching the shard.
+type unavailableTransport struct {
+	failing atomic.Bool
+	refused atomic.Int64
+}
+
+func (u *unavailableTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !u.failing.Load() {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	u.refused.Add(1)
+	return &http.Response{
+		StatusCode: http.StatusServiceUnavailable,
+		Header:     http.Header{},
+		Body:       io.NopCloser(strings.NewReader("unavailable")),
+		Request:    req,
+	}, nil
+}
+
+// TestShutdownCutsRetryBackoff: Shutdown while a janitor call is backing
+// off between retries against a 503 shard returns at once instead of
+// waiting out the call's retry budget (seconds here).
+func TestShutdownCutsRetryBackoff(t *testing.T) {
+	tr := &unavailableTransport{}
+	c, err := New(Config{
+		CheckpointInterval: -1,
+		HealthInterval:     -1,
+		ReconcileInterval:  5 * time.Millisecond,
+		Transport:          tr,
+		RetryMax:           6,
+		RetryBase:          400 * time.Millisecond,
+		RetryCap:           2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownCluster(t, c) })
+	if err := c.AddShard("shard-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateSession(serve.CreateRequest{SessionConfig: testSessionConfig(), StartPaused: true}); err != nil {
+		t.Fatal(err)
+	}
+	tr.failing.Store(true)
+	// Two refused attempts: the janitor's call is now in its second
+	// backoff, with at least 4.4 s of budget left.
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.refused.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("janitor never retried against the failing shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v; the retrying call did not stop on shutdown", d)
 	}
 }

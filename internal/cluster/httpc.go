@@ -86,13 +86,19 @@ type shardClient struct {
 	tokenNonce int64
 	tokenSeq   atomic.Uint64
 
+	// stop is the owning cluster's stop channel: once it closes, a call
+	// waiting out a backoff returns its last error instead of retrying
+	// against shards that are shutting down.
+	stop <-chan struct{}
+
 	mRetries *obs.Counter // nil-safe
 	mGiveups *obs.Counter
 }
 
 // newShardClient builds the client from the cluster config (defaults
-// applied by the caller) and optional metrics counters.
-func newShardClient(cfg Config, retries, giveups *obs.Counter) *shardClient {
+// applied by the caller), the cluster's stop channel and optional
+// metrics counters.
+func newShardClient(cfg Config, stop <-chan struct{}, retries, giveups *obs.Counter) *shardClient {
 	retryMax := cfg.RetryMax
 	if retryMax == 0 {
 		retryMax = DefaultRetryMax
@@ -116,6 +122,7 @@ func newShardClient(cfg Config, retries, giveups *obs.Counter) *shardClient {
 		retryCap:   ceil,
 		jitter:     detrand.New(cfg.RetrySeed),
 		tokenNonce: time.Now().UnixNano(),
+		stop:       stop,
 		mRetries:   retries,
 		mGiveups:   giveups,
 	}
@@ -140,6 +147,19 @@ func (cl *shardClient) backoff(n int) time.Duration {
 	return d/2 + time.Duration(f*float64(d/2))
 }
 
+// wait sleeps d and reports true, or reports false as soon as the
+// cluster stops.
+func (cl *shardClient) wait(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-cl.stop:
+		return false
+	}
+}
+
 // retriable reports whether an attempt's failure is worth another try:
 // transport errors and 5xx answers are transient; 4xx answers are the
 // shard telling us the request itself is wrong.
@@ -153,7 +173,8 @@ func retriable(err error) bool {
 // call runs one control-plane operation: build the request fresh per
 // attempt (bodies must be replayable), bound the response read, and
 // retry transient failures up to the budget. hdr entries are applied to
-// every attempt — the Idempotency-Key path.
+// every attempt — the Idempotency-Key path. A backoff cut short by the
+// cluster stopping returns the last attempt's error.
 func (cl *shardClient) call(op, method, url string, body []byte, contentType string, hdr map[string]string, wantStatus int, retry bool) ([]byte, error) {
 	attempts := 1
 	if retry {
@@ -163,7 +184,9 @@ func (cl *shardClient) call(op, method, url string, body []byte, contentType str
 	for n := 0; n < attempts; n++ {
 		if n > 0 {
 			cl.mRetries.Inc()
-			time.Sleep(cl.backoff(n))
+			if !cl.wait(cl.backoff(n)) {
+				return nil, lastErr
+			}
 		}
 		var rd io.Reader
 		if body != nil {

@@ -319,10 +319,18 @@ func (r *Recalibrator) fitReadout() error {
 			}
 			r.zHat[j] = z[j] - s
 		}
+		// Upper triangle only: ri·rj and rj·ri are the same bits, and
+		// each entry still sums over t in ring order.
 		for i, ri := range r.zHat {
-			for j, rj := range r.zHat {
-				r.qNew.Data[i*r.do+j] += ri * rj
+			row := r.qNew.Data[i*r.do : (i+1)*r.do]
+			for j := i; j < r.do; j++ {
+				row[j] += ri * r.zHat[j]
 			}
+		}
+	}
+	for i := 0; i < r.do; i++ {
+		for j := i + 1; j < r.do; j++ {
+			r.qNew.Data[j*r.do+i] = r.qNew.Data[i*r.do+j]
 		}
 	}
 	n := float64(r.count)

@@ -33,6 +33,10 @@ func TestBatchedDeterminismWall(t *testing.T) {
 	driftProf := driftProfile()
 	drifting.Drift = &driftProf
 	drifting.Decode = DecodeConfig{Kind: DecoderKalman, Track: true, Adapt: true}
+	calibrated := drifting
+	calibrated.Channels = 32
+	calibrated.Ticks = 160
+	calibrated.Decode.Calibrate = true
 
 	fecOnly := testConfig()
 	fecOnly.FECDepth = 4
@@ -52,6 +56,12 @@ func TestBatchedDeterminismWall(t *testing.T) {
 		{"faults", packedFaultConfig(), 0x05967bc2339fd8cb, 0},
 		// Packed transport + decode/adapt stages + drift.
 		{"drift_decode", drifting, 0xefef691357e10e54, 0x2d2bcd34fb04d39f},
+		// The benchmark's fleet-decode decode config at the Kalman shape
+		// (32 channels), long enough for refits: the calibration fit
+		// (FitKalman, LeastSquares, Inverse), every Step's 32×32
+		// InverseInto and the recalibrator's readout fit. Pinned from the
+		// accessor-loop linalg kernels, before they were slice-indexed.
+		{"calibrated_decode", calibrated, 0x14700a379e75473d, 0x9a8d00e59c13279c},
 		// General modem: FEC breaks packed eligibility.
 		{"fec", fecOnly, 0xcc1c4db4a7912148, 0},
 		// General modem: ARQ + FEC + full fault profile.
@@ -74,6 +84,9 @@ func TestBatchedDeterminismWall(t *testing.T) {
 			}
 			if ref.Digest != sc.digest || ref.DecodeDigest != sc.decodeDigest {
 				t.Fatalf("digests %#x/%#x, pinned %#x/%#x", ref.Digest, ref.DecodeDigest, sc.digest, sc.decodeDigest)
+			}
+			if sc.cfg.Decode.Adapt && sc.cfg.Decode.Calibrate && ref.Refits == 0 {
+				t.Fatal("no refit ran; the row would not exercise the readout fit")
 			}
 			want := deterministicFields(ref)
 			for _, batch := range []int{0, 1, 4, 16} {

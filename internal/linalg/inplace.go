@@ -31,15 +31,15 @@ func MulInto(dst, a, b Matrix) {
 		dst.Data[i] = 0
 	}
 	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			v := a.At(i, k)
+		dstRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for k, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
 			if v == 0 {
 				continue
 			}
-			dstRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 			bRow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j := range dstRow {
-				dstRow[j] += v * bRow[j]
+			bRow = bRow[:len(dstRow)]
+			for j, x := range bRow {
+				dstRow[j] += v * x
 			}
 		}
 	}
@@ -93,8 +93,16 @@ func IdentityInto(dst Matrix) {
 
 // InverseInto inverts a into dst using work as elimination scratch; a is
 // preserved. dst and work must be square matrices of a's shape and must
-// not alias a or each other. The pivoting and tolerance match Inverse
-// exactly, so both paths return ErrSingular on the same inputs.
+// not alias a or each other. It is the package's one Gauss–Jordan kernel
+// (Inverse wraps it): partial pivoting on the largest |entry|, ErrSingular
+// below a 1e-12 pivot, and every entry of dst bit-identical to the
+// accessor loop in reference_test.go.
+//
+// The kernel indexes row slices instead of At/Set and updates work only
+// from the pivot column rightwards: the entries to its left are never
+// read again (the pivot search reads column col, a row's factor is its
+// column-col entry). Every dst update stays, zero entries included —
+// skipping one would flip the sign of some zeros.
 func InverseInto(dst, work, a Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("linalg: cannot invert %d×%d matrix", a.Rows, a.Cols)
@@ -104,10 +112,11 @@ func InverseInto(dst, work, a Matrix) error {
 	n := a.Rows
 	CopyInto(work, a)
 	IdentityInto(dst)
+	w, d := work.Data, dst.Data
 	for col := 0; col < n; col++ {
-		pivot, best := col, math.Abs(work.At(col, col))
+		pivot, best := col, math.Abs(w[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(work.At(r, col)); v > best {
+			if v := math.Abs(w[r*n+col]); v > best {
 				pivot, best = r, v
 			}
 		}
@@ -118,26 +127,38 @@ func InverseInto(dst, work, a Matrix) error {
 			swapRows(work, pivot, col)
 			swapRows(dst, pivot, col)
 		}
-		p := work.At(col, col)
-		for j := 0; j < n; j++ {
-			work.Set(col, j, work.At(col, j)/p)
-			dst.Set(col, j, dst.At(col, j)/p)
+		wc := w[col*n+col : (col+1)*n]
+		dc := d[col*n : (col+1)*n]
+		p := wc[0]
+		for j := range wc {
+			wc[j] /= p
+		}
+		for j := range dc {
+			dc[j] /= p
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := work.At(r, col)
+			wr := w[r*n+col : (r+1)*n]
+			f := wr[0]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				work.Set(r, j, work.At(r, j)-f*work.At(col, j))
-				dst.Set(r, j, dst.At(r, j)-f*dst.At(col, j))
-			}
+			axpyNeg(wr, wc, f)
+			axpyNeg(d[r*n:(r+1)*n], dc, f)
 		}
 	}
 	return nil
+}
+
+// axpyNeg computes dst[j] -= f·src[j], one rounded product and one
+// rounded difference per entry; len(dst) must equal len(src).
+func axpyNeg(dst, src []float64, f float64) {
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] -= f * v
+	}
 }
 
 // MulVecInto computes m·v into dst of length m.Rows. dst must not alias v.

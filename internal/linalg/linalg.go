@@ -1,9 +1,14 @@
 // Package linalg provides the small dense linear algebra kernel used by
 // the decoder baselines and the neural-network engine: a row-major matrix
 // type with multiplication, transpose, inversion (Gauss–Jordan with partial
-// pivoting) and least-squares solving. It is deliberately minimal — the
-// framework's matrices are tiny (state dimensions and layer widths), so
-// clarity beats asymptotic cleverness.
+// pivoting) and least-squares solving.
+//
+// Results are bit-identical contracts, not approximations: the decoders'
+// digests hash every output bit, so a kernel may be made faster only by
+// changes that keep each entry's sequence of rounded operations — no
+// reordered sums, no fused multiply-adds, no skipped updates that would
+// flip the sign of a zero. The accessor-loop oracles the kernels are
+// tested against bit for bit live in reference_test.go.
 package linalg
 
 import (
@@ -66,48 +71,22 @@ func (m Matrix) Clone() Matrix {
 // T returns the transpose.
 func (m Matrix) T() Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
+	TInto(out, m)
 	return out
 }
 
-// Mul returns m·b.
+// Mul returns m·b (MulInto into a fresh matrix).
 func (m Matrix) Mul(b Matrix) Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %d×%d · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
+	MulInto(out, m, b)
 	return out
 }
 
-// MulVec returns m·v for a vector of length Cols.
+// MulVec returns m·v for a vector of length Cols (MulVecInto into a
+// fresh slice).
 func (m Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec length %d != cols %d", len(v), m.Cols))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range v {
-			s += row[j] * x
-		}
-		out[i] = s
-	}
+	MulVecInto(out, m, v)
 	return out
 }
 
@@ -140,49 +119,12 @@ func (m Matrix) Scale(s float64) Matrix {
 // ErrSingular is returned when a matrix cannot be inverted.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial pivoting.
+// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial pivoting:
+// an allocating wrapper over InverseInto, so both return the same bits.
 func (m Matrix) Inverse() (Matrix, error) {
-	if m.Rows != m.Cols {
-		return Matrix{}, fmt.Errorf("linalg: cannot invert %d×%d matrix", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	a := m.Clone()
-	inv := Identity(n)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot, best := col, math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < 1e-12 {
-			return Matrix{}, ErrSingular
-		}
-		if pivot != col {
-			swapRows(a, pivot, col)
-			swapRows(inv, pivot, col)
-		}
-		// Normalize pivot row.
-		p := a.At(col, col)
-		for j := 0; j < n; j++ {
-			a.Set(col, j, a.At(col, j)/p)
-			inv.Set(col, j, inv.At(col, j)/p)
-		}
-		// Eliminate.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-				inv.Set(r, j, inv.At(r, j)-f*inv.At(col, j))
-			}
-		}
+	inv := NewMatrix(m.Rows, m.Cols)
+	if err := InverseInto(inv, NewMatrix(m.Rows, m.Cols), m); err != nil {
+		return Matrix{}, err
 	}
 	return inv, nil
 }
