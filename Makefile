@@ -39,12 +39,14 @@ determinism:
 	$(GO) test -race -run 'TestFleet(DeterminismWall|Modulations|SeedSensitivity)' -v ./internal/fleet/
 
 # Native Go fuzzing, ~$(FUZZTIME) per target: the comm frame parser and
-# packing round trips, and the dsp Delta–Rice codec.
+# packing round trips, the packed FEC decoder and packed modem against
+# their bit-level oracles, and the dsp Delta–Rice codec.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePacket -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzPackSamples -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytes -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzFECDecode -fuzztime $(FUZZTIME) ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzPackedModem -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzARQReorder -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceDecode -fuzztime $(FUZZTIME) ./internal/dsp/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceRoundTrip -fuzztime $(FUZZTIME) ./internal/dsp/
@@ -148,14 +150,16 @@ drift-smoke:
 # Fast-kernel smoke: the bit-identity foundations (packed-modem decision
 # thresholds at every boundary ±1 ulp, each fast kernel against its
 # reference oracle, bulk normal sampler draw-for-draw against math/rand),
-# the determinism wall (batch × workers × scenario digests equal the
-# recorded pins, under the race detector), the zero-allocation pin on
-# Pipeline.Step, the single-core packed-vs-general modem floor, and the
-# worker scaling baseline (BENCH_fleet.json).
+# the transport stage against its bit-per-byte oracle on the whole
+# transport grid, the determinism wall (batch × workers × scenario
+# digests equal the recorded pins, under the race detector), the
+# zero-allocation pin on Pipeline.Step, the single-core packed-vs-oracle
+# modem floor, and the worker scaling baseline (BENCH_fleet.json).
 batch-smoke:
-	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|FastIdentical|TestPackedModemSpeedupFloor' ./internal/comm/
+	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|TestFECPackedMatchesOracle|FastIdentical|TestPackedModemSpeedupFloor' ./internal/comm/
 	$(GO) test -run 'TestFillNormBitIdentical' ./internal/detrand/
 	$(GO) test -run 'FastIdentical' ./internal/neural/
+	$(GO) test -run 'TestTransportMatchesOracle' ./internal/fleet/
 	$(GO) test -race -run 'TestBatched|TestBatchValidate' ./internal/fleet/
 	$(GO) test -race -run 'TestReceiveFastIdentical|TestReceiveRejectionIsStatic' ./internal/wearable/
 	$(GO) test -run 'TestPipelineStepAllocFree' ./internal/fleet/
@@ -168,16 +172,18 @@ batch-smoke:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Benchmark pins: every workload once at full size and seed 1, the seed
+# Benchmark pins: every workload at full size and seed 1, the seed
 # bench/workloads.go pins their output digests at. The last line of a
 # run reports "correct":false when one output bit moved, so a kernel
 # change that is not bit-identical fails here, not only in a benchmark
-# comparison. Build outputs go to the git-ignored .bench_build/ and
-# bench/out/.
+# comparison. The traced run alternates an untraced and a traced
+# iteration, so each workload runs at least twice and the benchmark's
+# cross-iteration digest and exact-count checks run too. Build outputs
+# go to the git-ignored .bench_build/, span files to out/bench-pins/.
 BENCH_WORKLOADS = fleet-clean fleet-decode fleet-lossy serve-realtime cluster-migrate
 bench-pins:
 	@for w in $(BENCH_WORKLOADS); do \
-		line="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 | tail -n 1)"; \
+		line="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 0 --trace 1 --out out/bench-pins | tail -n 1)"; \
 		echo "$$w: $$line"; \
 		case "$$line" in \
 		*'"correct":true'*) ;; \

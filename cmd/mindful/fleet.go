@@ -51,9 +51,12 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 		cfg.Ticks = *ticks
 		cfg.Channels = *channels
 		cfg.SampleRate = units.Kilohertz(2)
-		if *qam == 0 {
+		switch {
+		case *qam == 0:
 			cfg.Modulation = comm.OOK{}
-		} else {
+		case *qam < 0 || *qam > comm.MaxQAMBits:
+			return cfg, fmt.Errorf("-qam %d outside 0..%d", *qam, comm.MaxQAMBits)
+		default:
 			cfg.Modulation = comm.NewQAM(*qam)
 		}
 		cfg.EbN0dB = *ebn0

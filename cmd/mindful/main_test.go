@@ -114,6 +114,21 @@ func runSubcommand(t *testing.T, fn func() error, argv ...string) string {
 	return capture(t, fn)
 }
 
+// TestFleetQAMBound: a -qam value outside 0..comm.MaxQAMBits is a usage
+// error, not a panic in the modem constructor or an out-of-memory in
+// config validation.
+func TestFleetQAMBound(t *testing.T) {
+	defer flag.CommandLine.Parse(nil)
+	for _, qam := range []string{"-2", "18", "64", "200"} {
+		if err := flag.CommandLine.Parse([]string{"fleet", "-n", "1", "-ticks", "4", "-qam", qam}); err != nil {
+			t.Fatal(err)
+		}
+		if err := runFleet(); err == nil {
+			t.Errorf("-qam %s accepted", qam)
+		}
+	}
+}
+
 // TestFleetDecoderFlag: `mindful fleet -decoder kalman` runs the decode
 // stage and reports its accounting; an unknown decoder name is a usage
 // error.

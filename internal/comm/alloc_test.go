@@ -72,12 +72,30 @@ func TestBitConversionsZeroAlloc(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	var bits, back []byte
-	assertZeroAlloc(t, "AppendBytesAsBits", func() {
-		bits = AppendBytesAsBits(bits[:0], data)
+	for _, m := range []Modulation{OOK{}, NewQAM(4), NewQAM(6)} {
+		pm, err := NewPackedModem(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var syms []Symbol
+		var back []byte
+		assertZeroAlloc(t, m.Name()+"/packed AppendModulate", func() {
+			syms = pm.AppendModulate(syms[:0], data, len(data)*8-3)
+		})
+		assertZeroAlloc(t, m.Name()+"/packed AppendDemodulate", func() {
+			back = pm.AppendDemodulate(back[:0], syms)
+		})
+	}
+	fec, err := NewFEC(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coded, dec []byte
+	assertZeroAlloc(t, "FEC AppendEncode", func() {
+		coded = fec.AppendEncode(coded[:0], data)
 	})
-	assertZeroAlloc(t, "AppendBitsAsBytes", func() {
-		back = AppendBitsAsBytes(back[:0], bits)
+	assertZeroAlloc(t, "FEC AppendDecode", func() {
+		dec, _, _ = fec.AppendDecode(dec[:0], coded, fec.CodedBits(8*len(data)))
 	})
 	var packed []byte
 	samples := make([]uint16, 128)
@@ -90,16 +108,6 @@ func TestBufferPoolsRecycle(t *testing.T) {
 	// A Get after a Put must not allocate a fresh backing array once the
 	// pool is primed (run single-threaded this is deterministic enough to
 	// assert on; the warm-up covers pool misses).
-	assertZeroAlloc(t, "symbol pool round-trip", func() {
-		buf := GetSymbolBuf()
-		*buf = append(*buf, Symbol{I: 1})
-		PutSymbolBuf(buf)
-	})
-	assertZeroAlloc(t, "bit pool round-trip", func() {
-		buf := GetBitBuf()
-		*buf = append(*buf, 1)
-		PutBitBuf(buf)
-	})
 	assertZeroAlloc(t, "byte pool round-trip", func() {
 		buf := GetByteBuf()
 		*buf = append(*buf, 0xBC)

@@ -76,75 +76,120 @@ func hammingDecode(w []byte) (d [fecDataBits]byte, corrected bool) {
 	return [fecDataBits]byte{w[2], w[4], w[5], w[6]}, corrected
 }
 
-// AppendEncode appends the coded, interleaved bit stream for the data
-// bits (0/1 elements) to dst. Data is zero-padded to a multiple of 4
-// bits, so decode returns ⌈len/4⌉·4 bits; callers framing byte payloads
-// truncate to the known frame length. Passing a recycled dst[:0] keeps
-// the steady-state path allocation-free.
-func (f *FEC) AppendEncode(dst []byte, bits []byte) []byte {
-	words := (len(bits) + fecDataBits - 1) / fecDataBits
-	bit := func(i int) byte {
-		if i < len(bits) {
-			return bits[i] & 1
+// fecEnc maps a data nibble d1d2d3d4 (MSB first) to its codeword
+// [p1 p2 d1 p3 d2 d3 d4] packed MSB-first into 7 bits; fecDec maps every
+// 7-bit received word to its corrected nibble, with fecFixed set when
+// hammingDecode applied a correction. Both come from the bit-level
+// hammingEncode/hammingDecode, so the packed codec decides exactly as
+// they do.
+var fecEnc, fecDec = fecTables()
+
+const fecFixed = 1 << fecDataBits
+
+func fecTables() (enc [1 << fecDataBits]byte, dec [1 << fecCodeBits]byte) {
+	pack := func(bits []byte) byte {
+		var v byte
+		for _, b := range bits {
+			v = v<<1 | b
 		}
-		return 0
+		return v
 	}
+	for v := range enc {
+		cw := hammingEncode(byte(v>>3)&1, byte(v>>2)&1, byte(v>>1)&1, byte(v)&1)
+		enc[v] = pack(cw[:])
+	}
+	var w [fecCodeBits]byte
+	for v := range dec {
+		for i := range w {
+			w[i] = byte(v>>(fecCodeBits-1-i)) & 1
+		}
+		d, corrected := hammingDecode(w[:])
+		dec[v] = pack(d[:])
+		if corrected {
+			dec[v] |= fecFixed
+		}
+	}
+	return enc, dec
+}
+
+// block returns the scratch codeword row for one interleave block.
+func (f *FEC) block(rows int) []byte {
+	if cap(f.scratch) < rows {
+		f.scratch = make([]byte, rows)
+	}
+	return f.scratch[:rows]
+}
+
+// AppendEncode appends the coded, interleaved bit stream for data to
+// dst: CodedBits(8·len(data)) bits packed MSB-first, the final partial
+// byte zero-filled. Each byte codes as two nibbles, high first; a
+// depth-D block of codewords goes out column-major (every codeword's
+// first bit, then every second bit, …). Passing a recycled dst[:0]
+// keeps the steady-state path allocation-free.
+func (f *FEC) AppendEncode(dst, data []byte) []byte {
+	words := 2 * len(data)
+	var acc byte
+	nacc := 0
 	for w0 := 0; w0 < words; w0 += f.Depth {
-		rows := f.Depth
-		if words-w0 < rows {
-			rows = words - w0
+		block := f.block(min(f.Depth, words-w0))
+		for r := range block {
+			i := w0 + r
+			block[r] = fecEnc[data[i/2]>>(4-4*(i%2))&0x0F]
 		}
-		// Code the block's rows into scratch, then emit column-major.
-		if need := rows * fecCodeBits; cap(f.scratch) < need {
-			f.scratch = make([]byte, need)
-		}
-		block := f.scratch[:rows*fecCodeBits]
-		for r := 0; r < rows; r++ {
-			i := (w0 + r) * fecDataBits
-			cw := hammingEncode(bit(i), bit(i+1), bit(i+2), bit(i+3))
-			copy(block[r*fecCodeBits:], cw[:])
-		}
-		for col := 0; col < fecCodeBits; col++ {
-			for r := 0; r < rows; r++ {
-				dst = append(dst, block[r*fecCodeBits+col])
+		for shift := fecCodeBits - 1; shift >= 0; shift-- {
+			for _, cw := range block {
+				acc = acc<<1 | cw>>shift&1
+				if nacc++; nacc == 8 {
+					dst = append(dst, acc)
+					nacc = 0
+				}
 			}
 		}
+	}
+	if nacc > 0 {
+		dst = append(dst, acc<<(8-nacc))
 	}
 	return dst
 }
 
-// AppendDecode deinterleaves and decodes a coded bit stream produced by
-// AppendEncode, appending the recovered data bits to dst. It returns the
-// extended slice and the number of bit errors corrected in this call.
-// The coded length must be a multiple of 7.
-func (f *FEC) AppendDecode(dst []byte, coded []byte) ([]byte, int, error) {
-	if len(coded)%fecCodeBits != 0 {
-		return dst, 0, fmt.Errorf("comm: coded length %d not a multiple of %d", len(coded), fecCodeBits)
+// AppendDecode deinterleaves and decodes the first nbits bits of a coded
+// stream produced by AppendEncode, appending the recovered data bits —
+// 4 per 7 coded bits — packed MSB-first with the final partial byte
+// zero-filled. It returns the extended slice and the number of bit
+// errors corrected in this call. nbits must be a multiple of 7 and
+// coded must hold at least ⌈nbits/8⌉ bytes.
+func (f *FEC) AppendDecode(dst, coded []byte, nbits int) ([]byte, int, error) {
+	if nbits < 0 || nbits%fecCodeBits != 0 {
+		return dst, 0, fmt.Errorf("comm: coded length %d not a multiple of %d", nbits, fecCodeBits)
 	}
-	words := len(coded) / fecCodeBits
-	fixed := 0
+	if need := (nbits + 7) / 8; len(coded) < need {
+		return dst, 0, fmt.Errorf("comm: %d coded bits need %d bytes, have %d", nbits, need, len(coded))
+	}
+	words := nbits / fecCodeBits
+	fixed, pos := 0, 0
+	var acc byte
 	for w0 := 0; w0 < words; w0 += f.Depth {
-		rows := f.Depth
-		if words-w0 < rows {
-			rows = words - w0
-		}
-		if need := rows * fecCodeBits; cap(f.scratch) < need {
-			f.scratch = make([]byte, need)
-		}
-		block := f.scratch[:rows*fecCodeBits]
-		base := w0 * fecCodeBits
+		block := f.block(min(f.Depth, words-w0))
+		clear(block)
 		for col := 0; col < fecCodeBits; col++ {
-			for r := 0; r < rows; r++ {
-				block[r*fecCodeBits+col] = coded[base+col*rows+r] & 1
+			for r := range block {
+				block[r] = block[r]<<1 | coded[pos>>3]>>(7-pos&7)&1
+				pos++
 			}
 		}
-		for r := 0; r < rows; r++ {
-			d, corrected := hammingDecode(block[r*fecCodeBits : (r+1)*fecCodeBits])
-			if corrected {
+		for r, w := range block {
+			d := fecDec[w]
+			if d&fecFixed != 0 {
 				fixed++
 			}
-			dst = append(dst, d[:]...)
+			acc = acc<<4 | d&0x0F
+			if (w0+r)%2 == 1 {
+				dst = append(dst, acc)
+			}
 		}
+	}
+	if words%2 == 1 {
+		dst = append(dst, acc<<4)
 	}
 	f.corrected += int64(fixed)
 	return dst, fixed, nil

@@ -6,13 +6,8 @@ import (
 	"testing"
 )
 
-func randomBits(rng *rand.Rand, n int) []byte {
-	bits := make([]byte, n)
-	for i := range bits {
-		bits[i] = byte(rng.Intn(2))
-	}
-	return bits
-}
+// flipBit inverts bit pos (MSB-first) of a packed stream.
+func flipBit(buf []byte, pos int) { buf[pos/8] ^= 0x80 >> (pos % 8) }
 
 func TestFECCleanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -22,25 +17,25 @@ func TestFECCleanRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{0, 1, 3, 4, 5, 8, 100, 321} {
-			bits := randomBits(rng, n)
-			coded := f.AppendEncode(nil, bits)
-			if want := f.CodedBits(n); len(coded) != want {
-				t.Fatalf("depth %d: %d data bits coded to %d bits, want %d", depth, n, len(coded), want)
+			data := make([]byte, n)
+			rng.Read(data)
+			coded := f.AppendEncode(nil, data)
+			nbits := f.CodedBits(8 * n)
+			if want := (nbits + 7) / 8; len(coded) != want {
+				t.Fatalf("depth %d: %d data bytes coded to %d bytes, want %d", depth, n, len(coded), want)
 			}
-			back, fixed, err := f.AppendDecode(nil, coded)
+			if pad := len(coded)*8 - nbits; pad > 0 && coded[len(coded)-1]&(1<<pad-1) != 0 {
+				t.Fatalf("depth %d: nonzero fill past the coded bits", depth)
+			}
+			back, fixed, err := f.AppendDecode(nil, coded, nbits)
 			if err != nil {
 				t.Fatalf("depth %d: decode: %v", depth, err)
 			}
 			if fixed != 0 {
 				t.Fatalf("depth %d: clean stream reported %d corrections", depth, fixed)
 			}
-			if !bytes.Equal(back[:n], bits) {
-				t.Fatalf("depth %d: %d-bit round trip mismatch", depth, n)
-			}
-			for _, pad := range back[n:] {
-				if pad != 0 {
-					t.Fatalf("depth %d: nonzero padding bit", depth)
-				}
+			if !bytes.Equal(back, data) {
+				t.Fatalf("depth %d: %d-byte round trip mismatch", depth, n)
 			}
 		}
 	}
@@ -55,29 +50,30 @@ func TestFECSingleErrorPerCodeword(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits := randomBits(rng, 40) // 10 codewords
-		coded := f.AppendEncode(nil, bits)
-		for pos := range coded {
+		data := make([]byte, 5) // 10 codewords
+		rng.Read(data)
+		coded := f.AppendEncode(nil, data)
+		nbits := f.CodedBits(8 * len(data))
+		for pos := 0; pos < nbits; pos++ {
 			corrupt := append([]byte(nil), coded...)
-			corrupt[pos] ^= 1
-			back, fixed, err := f.AppendDecode(nil, corrupt)
+			flipBit(corrupt, pos)
+			back, fixed, err := f.AppendDecode(nil, corrupt, nbits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fixed != 1 {
 				t.Fatalf("depth %d, flip at %d: %d corrections, want 1", depth, pos, fixed)
 			}
-			if !bytes.Equal(back[:len(bits)], bits) {
+			if !bytes.Equal(back, data) {
 				t.Fatalf("depth %d: flip at %d not corrected", depth, pos)
 			}
 		}
 	}
 }
 
-// TestFECBurstCorrection is the interleaver property the satellite task
-// pins: any contiguous burst of up to Depth bit errors inside one
-// interleave block lands at most one error per codeword and is fully
-// corrected.
+// TestFECBurstCorrection is the interleaver property: any contiguous
+// burst of up to Depth bit errors inside one interleave block lands at
+// most one error per codeword and is fully corrected.
 func TestFECBurstCorrection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, depth := range []int{2, 4, 8, 16} {
@@ -85,16 +81,18 @@ func TestFECBurstCorrection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Exactly one full interleave block: depth codewords.
-		bits := randomBits(rng, depth*fecDataBits)
-		coded := f.AppendEncode(nil, bits)
+		// Exactly one full interleave block: depth codewords, two per byte.
+		data := make([]byte, depth/2)
+		rng.Read(data)
+		coded := f.AppendEncode(nil, data)
+		nbits := f.CodedBits(8 * len(data))
 		for burst := 1; burst <= depth; burst++ {
-			for start := 0; start+burst <= len(coded); start++ {
+			for start := 0; start+burst <= nbits; start++ {
 				corrupt := append([]byte(nil), coded...)
 				for i := 0; i < burst; i++ {
-					corrupt[start+i] ^= 1
+					flipBit(corrupt, start+i)
 				}
-				back, fixed, err := f.AppendDecode(nil, corrupt)
+				back, fixed, err := f.AppendDecode(nil, corrupt, nbits)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +100,7 @@ func TestFECBurstCorrection(t *testing.T) {
 					t.Fatalf("depth %d: burst %d at %d: %d corrections, want %d",
 						depth, burst, start, fixed, burst)
 				}
-				if !bytes.Equal(back[:len(bits)], bits) {
+				if !bytes.Equal(back, data) {
 					t.Fatalf("depth %d: burst %d at %d not corrected", depth, burst, start)
 				}
 			}
@@ -110,16 +108,16 @@ func TestFECBurstCorrection(t *testing.T) {
 		// A burst of depth+1 must defeat some placement — the guarantee
 		// is tight, not vacuous.
 		defeated := false
-		for start := 0; start+depth+1 <= len(coded) && !defeated; start++ {
+		for start := 0; start+depth+1 <= nbits && !defeated; start++ {
 			corrupt := append([]byte(nil), coded...)
 			for i := 0; i <= depth; i++ {
-				corrupt[start+i] ^= 1
+				flipBit(corrupt, start+i)
 			}
-			back, _, err := f.AppendDecode(nil, corrupt)
+			back, _, err := f.AppendDecode(nil, corrupt, nbits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(back[:len(bits)], bits) {
+			if !bytes.Equal(back, data) {
 				defeated = true
 			}
 		}
@@ -134,8 +132,14 @@ func TestFECRejectsBadLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.AppendDecode(nil, make([]byte, 13)); err == nil {
+	if _, _, err := f.AppendDecode(nil, make([]byte, 2), 13); err == nil {
 		t.Fatal("decode accepted a length not divisible by 7")
+	}
+	if _, _, err := f.AppendDecode(nil, make([]byte, 1), 14); err == nil {
+		t.Fatal("decode accepted a stream shorter than its bit count")
+	}
+	if _, _, err := f.AppendDecode(nil, nil, -7); err == nil {
+		t.Fatal("decode accepted a negative bit count")
 	}
 	if _, err := NewFEC(0); err == nil {
 		t.Fatal("NewFEC accepted depth 0")
@@ -175,10 +179,9 @@ func TestFECCorrectedCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	coded := f.AppendEncode(nil, bits)
-	coded[3] ^= 1
-	if _, _, err := f.AppendDecode(nil, coded); err != nil {
+	coded := f.AppendEncode(nil, []byte{0xB2})
+	flipBit(coded, 3)
+	if _, _, err := f.AppendDecode(nil, coded, f.CodedBits(8)); err != nil {
 		t.Fatal(err)
 	}
 	if f.Corrected() != 1 {

@@ -80,52 +80,91 @@ func FuzzPackSamples(f *testing.F) {
 	})
 }
 
-// FuzzFECDecode throws arbitrary coded streams at the Hamming(7,4)
-// decoder. Invariants: decode never panics, output length is exactly
-// 4 bits per 7 coded bits, corrections never exceed the codeword count,
-// and re-encoding the decoded bits yields a stream the decoder maps back
-// to the same data (decoding is a projection onto the code).
+// FuzzFECDecode throws arbitrary coded streams at the packed
+// Hamming(7,4) decoder and checks it against the bit-level oracle:
+// identical data, correction count and error (or lack of one), for the
+// fuzz bytes read both as one coded bit each (low bit) and as a packed
+// stream, at depth 1–32. Decode never panics, and Corrected advances by
+// exactly the reported count.
 func FuzzFECDecode(f *testing.F) {
 	enc, _ := NewFEC(4)
-	clean := enc.AppendEncode(nil, []byte{1, 0, 1, 1, 0, 0, 1, 0})
+	clean := refFECEncode(4, nil, []byte{1, 0, 1, 1, 0, 0, 1, 0})
 	f.Add(clean, uint8(4))
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9}, uint8(2))
 	f.Add(make([]byte, 70), uint8(16))
+	f.Add(enc.AppendEncode(nil, []byte{0xB2, 0x7F, 0x00}), uint8(4))
 
-	f.Fuzz(func(t *testing.T, coded []byte, depthRaw uint8) {
+	f.Fuzz(func(t *testing.T, raw []byte, depthRaw uint8) {
 		depth := int(depthRaw)%32 + 1
-		fec, err := NewFEC(depth)
+		check := func(name string, bits []byte) {
+			t.Helper()
+			fec, err := NewFEC(depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantFixed, wantErr := refFECDecode(depth, nil, bits)
+			got, fixed, err := fec.AppendDecode(nil, refPackBits(bits), len(bits))
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s: %d bits: error %v, oracle %v", name, len(bits), err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(got, refPackBits(want)) || fixed != wantFixed {
+				t.Fatalf("%s: depth %d: decoded %x (%d fixed), oracle %x (%d fixed)",
+					name, depth, got, fixed, refPackBits(want), wantFixed)
+			}
+			if fec.Corrected() != int64(fixed) {
+				t.Fatalf("%s: Corrected() = %d after one call reporting %d", name, fec.Corrected(), fixed)
+			}
+		}
+		lowBits := make([]byte, len(raw))
+		for i, b := range raw {
+			lowBits[i] = b & 1
+		}
+		check("low bits", lowBits)
+		packed := refAppendBytesAsBits(nil, raw)
+		check("packed", packed[:len(packed)-len(packed)%fecCodeBits])
+	})
+}
+
+// FuzzPackedModem round-trips a fuzzer-chosen bit stream through the
+// packed modem for every modulation: noiseless, the decisions are the
+// first nbits bits of the input with zero pad to whole symbols and a
+// zero-filled final byte; and through a seeded AWGN channel the symbols
+// and decisions match the bit-level Modem oracle bit for bit.
+func FuzzPackedModem(f *testing.F) {
+	f.Add([]byte{0xBC, 0x1F, 0x00, 0xFF}, uint8(3), uint16(29))
+	f.Add([]byte{}, uint8(0), uint16(0))
+	f.Add([]byte{0x80}, uint8(4), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, modRaw uint8, nbitsRaw uint16) {
+		mods := packedModulations()
+		mod := mods[int(modRaw)%len(mods)]
+		pm, err := NewPackedModem(mod)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, fixed, err := fec.AppendDecode(nil, coded)
-		if len(coded)%7 != 0 {
-			if err == nil {
-				t.Fatalf("decoder accepted length %d", len(coded))
-			}
-			return
-		}
+		bm, err := NewModem(mod)
 		if err != nil {
-			t.Fatalf("decode failed on aligned input: %v", err)
+			t.Fatal(err)
 		}
-		words := len(coded) / 7
-		if len(data) != words*4 {
-			t.Fatalf("%d codewords decoded to %d bits", words, len(data))
+		nbits := int(nbitsRaw) % (8*len(data) + 1)
+		syms := pm.AppendModulate(nil, data, nbits)
+		bits := refAppendBytesAsBits(nil, data)[:nbits]
+		for len(bits)%pm.BitsPerSymbol() != 0 {
+			bits = append(bits, 0)
 		}
-		if fixed < 0 || fixed > words {
-			t.Fatalf("%d corrections for %d codewords", fixed, words)
+		want := refPackBits(bits)
+		if got := pm.AppendDemodulate(nil, syms); !bytes.Equal(got, want) {
+			t.Fatalf("%s, %d bits: noiseless round trip %x, want %x", mod.Name(), nbits, got, want)
 		}
-		re := fec.AppendEncode(nil, data)
-		again, fixed2, err := fec.AppendDecode(nil, re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if fixed2 != 0 {
-			t.Fatalf("re-encoded stream needed %d corrections", fixed2)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("decode not a projection: data changed on re-encode round trip")
+		ref := refAir(t, bm, data, nbits)
+		NewAWGNChannel(2, int64(nbits)).TransmitInPlace(ref)
+		NewAWGNChannel(2, int64(nbits)).TransmitInPlace(syms)
+		want = refPackBits(bm.AppendDemodulate(nil, ref))
+		if got := pm.AppendDemodulate(nil, syms); !bytes.Equal(got, want) {
+			t.Fatalf("%s, %d bits: noisy decisions %x, oracle %x", mod.Name(), nbits, got, want)
 		}
 	})
 }
@@ -218,17 +257,17 @@ func FuzzARQReorder(f *testing.F) {
 	})
 }
 
-// FuzzBitsBytes checks the modem bit/byte conversions: unpacking bytes to
-// bits and packing back is the identity.
+// FuzzBitsBytes checks the oracle's bit/byte conversions: unpacking
+// bytes to bits and packing back is the identity.
 func FuzzBitsBytes(f *testing.F) {
 	f.Add([]byte{0xBC, 0x1F, 0x00, 0xFF})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bits := AppendBytesAsBits(nil, data)
+		bits := refAppendBytesAsBits(nil, data)
 		if len(bits) != len(data)*8 {
 			t.Fatalf("%d bytes unpacked to %d bits", len(data), len(bits))
 		}
-		back := AppendBitsAsBytes(nil, bits)
+		back := refAppendBitsAsBytes(nil, bits)
 		if !bytes.Equal(back, data) {
 			t.Fatalf("bit round-trip mismatch: %x -> %x", data, back)
 		}

@@ -19,10 +19,12 @@ type Symbol struct {
 //
 // Bits are represented as byte slices whose elements are 0 or 1.
 //
-// The Append variants write into a caller-supplied buffer and are the
-// zero-allocation hot path: pass a recycled slice (e.g. from GetSymbolBuf
-// / GetBitBuf) re-sliced to [:0] and no per-call allocation occurs once
-// the buffer has grown to steady-state capacity.
+// The Append variants write into a caller-supplied buffer: pass a
+// recycled slice re-sliced to [:0] and no per-call allocation occurs
+// once the buffer has grown to steady-state capacity. The fleet
+// transport runs PackedModem, which takes the same modulations on a
+// packed bit stream; this bit-per-byte Modem is its oracle and serves
+// BER measurement.
 type Modem interface {
 	Modulation
 	// Modulate maps bits to symbols. len(bits) must be a multiple of
@@ -39,13 +41,16 @@ type Modem interface {
 }
 
 // NewModem returns a bit-accurate modem for the given modulation. OOK and
-// QAM with an even number of bits per symbol (square constellations) plus
-// BPSK are supported.
+// QAM with an even number of bits per symbol (square constellations) up
+// to MaxQAMBits plus BPSK are supported.
 func NewModem(m Modulation) (Modem, error) {
 	switch mod := m.(type) {
 	case OOK:
 		return ookModem{}, nil
 	case QAM:
+		if mod.Bits < 1 || mod.Bits > MaxQAMBits {
+			return nil, fmt.Errorf("comm: QAM bits/symbol %d outside 1..%d", mod.Bits, MaxQAMBits)
+		}
 		if mod.Bits == 1 {
 			return newBPSK(), nil
 		}

@@ -1,14 +1,16 @@
 package comm
 
 import (
+	"bytes"
 	"math"
 	mathbits "math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
 
-// levelByThreshold is the decision rule AppendDemodulateBytes uses:
+// levelByThreshold is the decision rule AppendDemodulate uses:
 // the level index is the number of thresholds at or below x.
 func levelByThreshold(thr []float64, x float64) int {
 	idx := 0
@@ -20,24 +22,39 @@ func levelByThreshold(thr []float64, x float64) int {
 	return idx
 }
 
+// axisDecision returns the bit-level modem's per-axis decision for m —
+// the oracle demodThresholds searches — and a span that covers its
+// constellation amplitudes with room to spare.
+func axisDecision(t *testing.T, m Modulation) (func(float64) int, float64) {
+	t.Helper()
+	bm, err := NewModem(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qm, ok := bm.(*qamModem); ok {
+		return qm.nearestLevel, 4 * math.Abs(qm.amps[len(qm.amps)-1])
+	}
+	return func(x float64) int { return int(bm.Demodulate([]Symbol{{I: x}})[0]) }, 4 * math.Sqrt2
+}
+
 // TestDemodThresholdsExact proves the threshold decision rule equals
-// nearestLevel everywhere it matters: exactly at every threshold, one
-// ulp on either side of it, at extreme magnitudes, and across a dense
-// random sweep of the amplitude range.
+// the bit-level decision everywhere it matters, for every modulation:
+// exactly at every threshold, one ulp on either side of it, at extreme
+// magnitudes, and across a dense random sweep of the amplitude range.
 func TestDemodThresholdsExact(t *testing.T) {
-	for _, bits := range []int{2, 4, 8} {
-		pm, ok := NewPackedModem(NewQAM(bits))
-		if !ok {
-			t.Fatalf("QAM%d: expected packed modem", 1<<bits)
+	for _, mod := range packedModulations() {
+		pm, err := NewPackedModem(mod)
+		if err != nil {
+			t.Fatal(err)
 		}
-		qm := pm.qm
-		if len(pm.thr) != qm.levels-1 {
-			t.Fatalf("QAM%d: %d thresholds for %d levels", 1<<bits, len(pm.thr), qm.levels)
+		decide, span := axisDecision(t, mod)
+		if len(pm.thr) != len(pm.gray)-1 {
+			t.Fatalf("%s: %d thresholds for %d levels", mod.Name(), len(pm.thr), len(pm.gray))
 		}
 		check := func(x float64) {
 			t.Helper()
-			if got, want := levelByThreshold(pm.thr, x), qm.nearestLevel(x); got != want {
-				t.Fatalf("QAM%d: x=%v threshold rule %d, nearestLevel %d", 1<<bits, x, got, want)
+			if got, want := levelByThreshold(pm.thr, x), decide(x); got != want {
+				t.Fatalf("%s: x=%v threshold rule %d, bit-level decision %d", mod.Name(), x, got, want)
 			}
 		}
 		for _, th := range pm.thr {
@@ -48,8 +65,7 @@ func TestDemodThresholdsExact(t *testing.T) {
 		for _, x := range []float64{0, math.Copysign(0, -1), 1e300, -1e300, 1e-300, -1e-300} {
 			check(x)
 		}
-		rng := rand.New(rand.NewSource(int64(bits)))
-		span := 4 * math.Abs(qm.amps[len(qm.amps)-1])
+		rng := rand.New(rand.NewSource(int64(pm.BitsPerSymbol())))
 		for i := 0; i < 200_000; i++ {
 			check((rng.Float64()*2 - 1) * span)
 		}
@@ -61,11 +77,10 @@ func TestDemodThresholdsExact(t *testing.T) {
 // threshold — the inputs where a branchless reformulation could slip —
 // and pins its bytes against the bit-level scalar path.
 func TestDemodBoundarySymbols(t *testing.T) {
-	for _, bits := range []int{2, 4, 8} {
-		mod := NewQAM(bits)
-		pm, ok := NewPackedModem(mod)
-		if !ok {
-			t.Fatalf("QAM%d: expected packed modem", 1<<bits)
+	for _, mod := range packedModulations() {
+		pm, err := NewPackedModem(mod)
+		if err != nil {
+			t.Fatal(err)
 		}
 		bitModem, err := NewModem(mod)
 		if err != nil {
@@ -84,18 +99,35 @@ func TestDemodBoundarySymbols(t *testing.T) {
 				syms = append(syms, Symbol{I: i, Q: q})
 			}
 		}
-		// Pad to a whole number of bytes.
-		for len(syms)%pm.SymbolsPerByte() != 0 {
-			syms = append(syms, Symbol{})
+		refBytes := refPackBits(bitModem.AppendDemodulate(nil, syms))
+		gotBytes := pm.AppendDemodulate(nil, syms)
+		if !bytes.Equal(refBytes, gotBytes) {
+			t.Fatalf("%s: boundary decisions differ\n got %x\nwant %x", mod.Name(), gotBytes, refBytes)
 		}
-		refBytes := AppendBitsAsBytes(nil, bitModem.AppendDemodulate(nil, syms))
-		gotBytes := pm.AppendDemodulateBytes(nil, syms)
-		if len(refBytes) != len(gotBytes) {
-			t.Fatalf("QAM%d: %d bytes vs %d", 1<<bits, len(gotBytes), len(refBytes))
+	}
+}
+
+// TestPackedModemShared: concurrent first calls for one modulation all
+// get the same immutable instance (run under -race by `make race`).
+func TestPackedModemShared(t *testing.T) {
+	for _, mod := range packedModulations() {
+		var wg sync.WaitGroup
+		got := make([]*PackedModem, 4)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pm, err := NewPackedModem(mod)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = pm
+			}(i)
 		}
-		for i := range refBytes {
-			if refBytes[i] != gotBytes[i] {
-				t.Fatalf("QAM%d: byte %d: %#x vs %#x", 1<<bits, i, gotBytes[i], refBytes[i])
+		wg.Wait()
+		for _, pm := range got[1:] {
+			if pm != got[0] {
+				t.Fatalf("%s: NewPackedModem returned distinct instances", mod.Name())
 			}
 		}
 	}
@@ -103,15 +135,15 @@ func TestDemodBoundarySymbols(t *testing.T) {
 
 // TestPackedModemSpeedupFloor pins the kernel that carries most of the
 // fleet's single-core throughput: one 32-channel, 10-bit frame through
-// modulate → AWGN → demodulate → bit-error count, packed 16-QAM against
-// the general Modem path the transport takes for FEC, ARQ and
-// non-packable modulations. Both stay production paths, so the floor
-// guards the packed one against silently losing its edge. Best of many
-// short interleaved rounds keeps scheduler noise out: under parallel
-// load each path likely gets at least one uncontended round. The
-// recorded ratio is ~2.5–3×, the enforced floor 2×. Skipped under the
-// race detector, whose instrumentation distorts exactly what is
-// measured.
+// modulate → AWGN → demodulate → bit-error count, the production packed
+// 16-QAM path against its bit-per-byte oracle (the bit-level Modem with
+// the reference stream conversions, the path the transport ran before
+// it was packed). The floor guards the production path against
+// silently losing its edge. Best of many short interleaved rounds keeps
+// scheduler noise out: under parallel load each path likely gets at
+// least one uncontended round. The recorded ratio is ~2.5–3×, the
+// enforced floor 2×. Skipped under the race detector, whose
+// instrumentation distorts exactly what is measured.
 func TestPackedModemSpeedupFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing floor not asserted under the race detector")
@@ -122,7 +154,10 @@ func TestPackedModemSpeedupFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := NewQAM(4)
-	pm, _ := NewPackedModem(mod)
+	pm, err := NewPackedModem(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := NewModem(mod)
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +168,8 @@ func TestPackedModemSpeedupFloor(t *testing.T) {
 		syms                  []Symbol
 		errs                  int
 	)
-	general := func() {
-		bits = AppendBytesAsBits(bits[:0], frame)
+	oracle := func() {
+		bits = refAppendBytesAsBits(bits[:0], frame)
 		syms, _ = m.AppendModulate(syms[:0], bits)
 		ch.TransmitInPlace(syms)
 		rxBits = m.AppendDemodulate(rxBits[:0], syms)
@@ -143,12 +178,12 @@ func TestPackedModemSpeedupFloor(t *testing.T) {
 				errs++
 			}
 		}
-		rxFrame = AppendBitsAsBytes(rxFrame[:0], rxBits)
+		rxFrame = refAppendBitsAsBytes(rxFrame[:0], rxBits)
 	}
 	packed := func() {
-		syms = pm.AppendModulateBytes(syms[:0], frame)
+		syms = pm.AppendModulate(syms[:0], frame, len(frame)*8)
 		ch.TransmitInPlace(syms)
-		rxFrame = pm.AppendDemodulateBytes(rxFrame[:0], syms)
+		rxFrame = pm.AppendDemodulate(rxFrame[:0], syms)
 		for i := range frame {
 			errs += mathbits.OnesCount8(frame[i] ^ rxFrame[i])
 		}
@@ -165,16 +200,16 @@ func TestPackedModemSpeedupFloor(t *testing.T) {
 		}
 		return time.Since(start) / iters
 	}
-	general()
+	oracle()
 	packed()
 	g, pk := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for round := 0; round < 60; round++ {
-		g = min(g, timeRound(general))
+		g = min(g, timeRound(oracle))
 		pk = min(pk, timeRound(packed))
 	}
 	ratio := float64(g) / float64(pk)
-	t.Logf("general %v/frame, packed %v/frame: %.2fx", g, pk, ratio)
+	t.Logf("oracle %v/frame, packed %v/frame: %.2fx", g, pk, ratio)
 	if ratio < 2 {
-		t.Errorf("packed 16-QAM path %.2fx faster than the general modem, want >= 2x", ratio)
+		t.Errorf("packed 16-QAM path %.2fx faster than its bit-level oracle, want >= 2x", ratio)
 	}
 }

@@ -2,63 +2,19 @@ package comm
 
 import "sync"
 
-// Buffer pools for the modem hot path. A fleet-scale simulation pushes
-// every frame through bits → symbols → bits → bytes conversions; doing
-// that with per-call make() dominates the allocation profile, so the
-// pools below recycle the three buffer shapes across pipelines and
-// goroutines. Callers Get a buffer, re-slice it to [:0], append through
-// the Append* APIs, and Put it back when the frame is done.
+// Frame-byte buffer pool for the fleet hot path. Every pipeline tick
+// builds a frame and recovers one at the wearable; recycling those byte
+// buffers across pipelines and goroutines keeps per-call make() out of
+// the allocation profile. Callers Get a buffer, re-slice it to [:0],
+// append through the Append* APIs, and Put it back when done.
 
-const (
-	// defaultSymbolCap comfortably holds the symbols of a 1024-channel
-	// 10-bit frame under OOK (the widest expansion: one symbol per bit).
-	defaultSymbolCap = 16384
-	// defaultBitCap holds the unpacked bits of the same frame.
-	defaultBitCap = 16384
-	// defaultByteCap holds the frame bytes themselves.
-	defaultByteCap = 2048
-)
-
-var symbolPool = sync.Pool{New: func() any {
-	buf := make([]Symbol, 0, defaultSymbolCap)
-	return &buf
-}}
-
-var bitPool = sync.Pool{New: func() any {
-	buf := make([]byte, 0, defaultBitCap)
-	return &buf
-}}
+// defaultByteCap holds the bytes of a 1024-channel 10-bit frame.
+const defaultByteCap = 2048
 
 var bytePool = sync.Pool{New: func() any {
 	buf := make([]byte, 0, defaultByteCap)
 	return &buf
 }}
-
-// GetSymbolBuf returns a recycled symbol buffer (length 0). Release it
-// with PutSymbolBuf when the symbols are no longer referenced.
-func GetSymbolBuf() *[]Symbol { return symbolPool.Get().(*[]Symbol) }
-
-// PutSymbolBuf returns a buffer obtained from GetSymbolBuf to the pool.
-func PutSymbolBuf(buf *[]Symbol) {
-	if buf == nil {
-		return
-	}
-	*buf = (*buf)[:0]
-	symbolPool.Put(buf)
-}
-
-// GetBitBuf returns a recycled bit buffer (length 0, elements 0/1 by
-// convention). Release it with PutBitBuf.
-func GetBitBuf() *[]byte { return bitPool.Get().(*[]byte) }
-
-// PutBitBuf returns a buffer obtained from GetBitBuf to the pool.
-func PutBitBuf(buf *[]byte) {
-	if buf == nil {
-		return
-	}
-	*buf = (*buf)[:0]
-	bitPool.Put(buf)
-}
 
 // GetByteBuf returns a recycled byte buffer (length 0) for frame bytes.
 // Release it with PutByteBuf.
@@ -71,31 +27,4 @@ func PutByteBuf(buf *[]byte) {
 	}
 	*buf = (*buf)[:0]
 	bytePool.Put(buf)
-}
-
-// AppendBytesAsBits unpacks buf MSB-first into one 0/1 element per bit,
-// appending to dst — the byte-frame → modem-bits conversion.
-func AppendBytesAsBits(dst []byte, buf []byte) []byte {
-	for _, b := range buf {
-		for i := 7; i >= 0; i-- {
-			dst = append(dst, (b>>i)&1)
-		}
-	}
-	return dst
-}
-
-// AppendBitsAsBytes packs 0/1 elements MSB-first back into bytes,
-// appending to dst. Trailing bits short of a full byte are dropped, so a
-// stream padded to a symbol boundary collapses back to its byte length.
-func AppendBitsAsBytes(dst []byte, bits []byte) []byte {
-	for n := 0; n+8 <= len(bits); n += 8 {
-		var b byte
-		for i := 0; i < 8; i++ {
-			if bits[n+i] != 0 {
-				b |= 1 << (7 - i)
-			}
-		}
-		dst = append(dst, b)
-	}
-	return dst
 }

@@ -15,8 +15,103 @@ import (
 
 // This file holds the reference implementations the production kernels
 // replaced — per-bit sample packing and unpacking, Decode with formatted
-// errors, and the per-draw AWGN transmit — as test oracles, each pinned
-// against its production counterpart by an identity test below.
+// errors, the per-draw AWGN transmit, and the bit-per-byte stream
+// conversions and Hamming(7,4) codec the uplink ran before it was
+// packed — as test oracles, each pinned against its production
+// counterpart by an identity test below.
+
+// refAppendBytesAsBits unpacks buf MSB-first into one 0/1 element per
+// bit.
+func refAppendBytesAsBits(dst []byte, buf []byte) []byte {
+	for _, b := range buf {
+		for i := 7; i >= 0; i-- {
+			dst = append(dst, (b>>i)&1)
+		}
+	}
+	return dst
+}
+
+// refAppendBitsAsBytes packs 0/1 elements MSB-first back into bytes.
+// Trailing bits short of a full byte are dropped, so a stream padded to
+// a symbol boundary collapses back to its byte length.
+func refAppendBitsAsBytes(dst []byte, bits []byte) []byte {
+	for n := 0; n+8 <= len(bits); n += 8 {
+		var b byte
+		for i := 0; i < 8; i++ {
+			if bits[n+i] != 0 {
+				b |= 1 << (7 - i)
+			}
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// refPackBits packs 0/1 elements MSB-first, keeping a final partial byte
+// zero-filled — the packed layout the production kernels emit.
+func refPackBits(bits []byte) []byte {
+	for len(bits)%8 != 0 {
+		bits = append(bits[:len(bits):len(bits)], 0)
+	}
+	return refAppendBitsAsBytes(nil, bits)
+}
+
+// refFECEncode is the bit-level Hamming(7,4) encoder: data bits (0/1
+// elements) zero-padded to a multiple of 4, coded, and emitted
+// column-major per depth-codeword block.
+func refFECEncode(depth int, dst []byte, bits []byte) []byte {
+	words := (len(bits) + fecDataBits - 1) / fecDataBits
+	bit := func(i int) byte {
+		if i < len(bits) {
+			return bits[i] & 1
+		}
+		return 0
+	}
+	for w0 := 0; w0 < words; w0 += depth {
+		rows := min(depth, words-w0)
+		block := make([]byte, rows*fecCodeBits)
+		for r := 0; r < rows; r++ {
+			i := (w0 + r) * fecDataBits
+			cw := hammingEncode(bit(i), bit(i+1), bit(i+2), bit(i+3))
+			copy(block[r*fecCodeBits:], cw[:])
+		}
+		for col := 0; col < fecCodeBits; col++ {
+			for r := 0; r < rows; r++ {
+				dst = append(dst, block[r*fecCodeBits+col])
+			}
+		}
+	}
+	return dst
+}
+
+// refFECDecode deinterleaves and decodes a bit-level coded stream,
+// returning the data bits and the number of corrected codewords. The
+// coded length must be a multiple of 7.
+func refFECDecode(depth int, dst []byte, coded []byte) ([]byte, int, error) {
+	if len(coded)%fecCodeBits != 0 {
+		return dst, 0, fmt.Errorf("comm: coded length %d not a multiple of %d", len(coded), fecCodeBits)
+	}
+	words := len(coded) / fecCodeBits
+	fixed := 0
+	for w0 := 0; w0 < words; w0 += depth {
+		rows := min(depth, words-w0)
+		block := make([]byte, rows*fecCodeBits)
+		base := w0 * fecCodeBits
+		for col := 0; col < fecCodeBits; col++ {
+			for r := 0; r < rows; r++ {
+				block[r*fecCodeBits+col] = coded[base+col*rows+r] & 1
+			}
+		}
+		for r := 0; r < rows; r++ {
+			d, corrected := hammingDecode(block[r*fecCodeBits : (r+1)*fecCodeBits])
+			if corrected {
+				fixed++
+			}
+			dst = append(dst, d[:]...)
+		}
+	}
+	return dst, fixed, nil
+}
 
 // refAppendPackSamples packs bit by bit, MSB first.
 func refAppendPackSamples(dst []byte, samples []uint16, bits int) []byte {
@@ -232,39 +327,63 @@ func TestDecodeFastIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedModemIdentical pins the byte-oriented modem against the
-// bit-level path for every k that divides 8: identical symbols
-// (bit-for-bit), identical hard decisions after noise, and popcount
-// bit-error counts equal to the per-bit comparison.
+// packedModulations is every modulation the packed modem carries, up to
+// 1024-QAM.
+func packedModulations() []Modulation {
+	return []Modulation{OOK{}, NewQAM(1), NewQAM(2), NewQAM(4), NewQAM(6), NewQAM(8), NewQAM(10)}
+}
+
+// refAir is the bit-level oracle for one packed modem pass: the first
+// nbits bits of data, zero-padded to whole symbols, modulated by the
+// bit-level Modem.
+func refAir(t testing.TB, m Modem, data []byte, nbits int) []Symbol {
+	t.Helper()
+	bits := refAppendBytesAsBits(nil, data)[:nbits]
+	for len(bits)%m.BitsPerSymbol() != 0 {
+		bits = append(bits, 0)
+	}
+	syms, err := m.AppendModulate(nil, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return syms
+}
+
+// TestPackedModemIdentical pins the packed modem against the bit-level
+// path for every modulation, at bit lengths that do and do not fill
+// whole bytes and whole symbols: identical symbols (bit for bit),
+// identical hard decisions after noise packed with a zero-filled final
+// byte, and popcount bit-error counts equal to the per-bit comparison.
 func TestPackedModemIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, qbits := range []int{2, 4, 8} {
-		mod := NewQAM(qbits)
-		pm, ok := NewPackedModem(mod)
-		if !ok {
-			t.Fatalf("QAM%d: packed modem unavailable", 1<<qbits)
+	for _, mod := range packedModulations() {
+		pm, err := NewPackedModem(mod)
+		if err != nil {
+			t.Fatal(err)
 		}
 		bitModem, err := NewModem(mod)
 		if err != nil {
 			t.Fatal(err)
 		}
+		k := pm.BitsPerSymbol()
 		for iter := 0; iter < 50; iter++ {
 			data := make([]byte, 1+rng.Intn(96))
 			rng.Read(data)
-
-			refBits := AppendBytesAsBits(nil, data)
-			refSyms, err := bitModem.AppendModulate(nil, refBits)
-			if err != nil {
-				t.Fatal(err)
+			nbits := len(data) * 8
+			if iter%2 == 1 {
+				nbits -= rng.Intn(8)
 			}
-			gotSyms := pm.AppendModulateBytes(nil, data)
+			refSyms := refAir(t, bitModem, data, nbits)
+			// Append behind a prefix: the packed modem must extend dst.
+			prefix := []Symbol{{I: 7, Q: 7}}
+			gotSyms := pm.AppendModulate(prefix, data, nbits)[1:]
 			if len(refSyms) != len(gotSyms) {
-				t.Fatalf("QAM%d: %d symbols vs %d", 1<<qbits, len(gotSyms), len(refSyms))
+				t.Fatalf("%s: %d symbols vs %d", mod.Name(), len(gotSyms), len(refSyms))
 			}
 			for i := range refSyms {
 				if math.Float64bits(refSyms[i].I) != math.Float64bits(gotSyms[i].I) ||
 					math.Float64bits(refSyms[i].Q) != math.Float64bits(gotSyms[i].Q) {
-					t.Fatalf("QAM%d sym %d: %+v vs %+v", 1<<qbits, i, gotSyms[i], refSyms[i])
+					t.Fatalf("%s sym %d: %+v vs %+v", mod.Name(), i, gotSyms[i], refSyms[i])
 				}
 			}
 
@@ -275,33 +394,80 @@ func TestPackedModemIdentical(t *testing.T) {
 			chA.TransmitInPlace(refSyms)
 			chB.TransmitInPlace(gotSyms)
 			rxBits := bitModem.AppendDemodulate(nil, refSyms)
-			rxBytes := AppendBitsAsBytes(nil, rxBits)
-			gotBytes := pm.AppendDemodulateBytes(nil, gotSyms)
-			if !bytes.Equal(rxBytes, gotBytes) {
-				t.Fatalf("QAM%d: demodulated bytes differ\n got %x\nwant %x", 1<<qbits, gotBytes, rxBytes)
+			want := refPackBits(rxBits)
+			got := pm.AppendDemodulate([]byte{0xA5}, gotSyms)[1:]
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%s: demodulated bytes differ\n got %x\nwant %x", mod.Name(), got, want)
 			}
 
-			// Bit-error accounting: XOR+popcount over bytes must equal the
-			// scalar per-bit comparison (k | 8 means no pad bits exist).
+			// Bit-error accounting over the symbol-padded stream: XOR +
+			// popcount against the zero-filled sent bytes equals the
+			// per-bit comparison.
+			txBits := refAppendBytesAsBits(nil, data)[:nbits]
+			for len(txBits)%k != 0 {
+				txBits = append(txBits, 0)
+			}
 			perBit := 0
-			for i := range refBits {
-				if refBits[i] != rxBits[i] {
+			for i := range txBits {
+				if txBits[i] != rxBits[i] {
 					perBit++
 				}
 			}
+			tx := refPackBits(txBits)
 			pop := 0
-			for i := range data {
-				pop += mathbits.OnesCount8(data[i] ^ gotBytes[i])
+			for i := range got {
+				pop += mathbits.OnesCount8(tx[i] ^ got[i])
 			}
 			if perBit != pop {
-				t.Fatalf("QAM%d: popcount errors %d != per-bit %d", 1<<qbits, pop, perBit)
+				t.Fatalf("%s: popcount errors %d != per-bit %d", mod.Name(), pop, perBit)
 			}
 		}
 	}
-	// Non-applicable modulations must be declined.
-	for _, m := range []Modulation{OOK{}, NewQAM(1), NewQAM(6)} {
-		if _, ok := NewPackedModem(m); ok {
-			t.Errorf("%s: packed modem should not apply", m.Name())
+	// Modulations without a modem are declined with NewModem's error.
+	for _, m := range []Modulation{QAM{Bits: 3}, QAM{Bits: 0}, QAM{Bits: -2}, QAM{Bits: MaxQAMBits + 2}, QAM{Bits: 64}, QAM{Bits: 200}} {
+		if _, err := NewPackedModem(m); err == nil {
+			t.Errorf("QAM bits %d: packed modem built", m.(QAM).Bits)
+		}
+	}
+}
+
+// TestFECPackedMatchesOracle pins the packed Hamming(7,4) codec against
+// the bit-level one at every depth shape: identical coded bits (with a
+// zero-filled final byte), and — after random bit flips — identical
+// decoded data and correction counts.
+func TestFECPackedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, depth := range []int{1, 2, 3, 4, 7, 8, 16, 33} {
+		f, err := NewFEC(depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter < 40; iter++ {
+			data := make([]byte, rng.Intn(80))
+			rng.Read(data)
+			refCoded := refFECEncode(depth, nil, refAppendBytesAsBits(nil, data))
+			coded := f.AppendEncode(nil, data)
+			if want := refPackBits(refCoded); !bytes.Equal(want, coded) {
+				t.Fatalf("depth %d: coded stream differs\n got %x\nwant %x", depth, coded, want)
+			}
+			for flips := rng.Intn(len(refCoded)/4 + 1); flips > 0; flips-- {
+				pos := rng.Intn(len(refCoded))
+				refCoded[pos] ^= 1
+				coded[pos/8] ^= 0x80 >> (pos % 8)
+			}
+			wantData, wantFixed, _ := refFECDecode(depth, nil, refCoded)
+			before := f.Corrected()
+			gotData, gotFixed, err := f.AppendDecode(nil, coded, len(refCoded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(refPackBits(wantData), gotData) || gotFixed != wantFixed {
+				t.Fatalf("depth %d: decoded %x (%d fixed), oracle %x (%d fixed)",
+					depth, gotData, gotFixed, refPackBits(wantData), wantFixed)
+			}
+			if f.Corrected()-before != int64(gotFixed) {
+				t.Fatalf("depth %d: Corrected advanced by %d, call reported %d", depth, f.Corrected()-before, gotFixed)
+			}
 		}
 	}
 }
@@ -409,11 +575,11 @@ func BenchmarkModulateBits(b *testing.B) {
 	m, _ := NewModem(NewQAM(4))
 	data := make([]byte, 54)
 	rand.New(rand.NewSource(1)).Read(data)
-	bits := AppendBytesAsBits(nil, data)
+	bits := refAppendBytesAsBits(nil, data)
 	syms := make([]Symbol, 0, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bb := AppendBytesAsBits(bits[:0], data)
+		bb := refAppendBytesAsBits(bits[:0], data)
 		syms, _ = m.AppendModulate(syms[:0], bb)
 	}
 }
@@ -425,7 +591,7 @@ func BenchmarkModulatePacked(b *testing.B) {
 	syms := make([]Symbol, 0, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		syms = pm.AppendModulateBytes(syms[:0], data)
+		syms = pm.AppendModulate(syms[:0], data, len(data)*8)
 	}
 }
 
@@ -433,14 +599,14 @@ func BenchmarkDemodulateBits(b *testing.B) {
 	m, _ := NewModem(NewQAM(4))
 	data := make([]byte, 54)
 	rand.New(rand.NewSource(1)).Read(data)
-	syms, _ := m.AppendModulate(nil, AppendBytesAsBits(nil, data))
+	syms, _ := m.AppendModulate(nil, refAppendBytesAsBits(nil, data))
 	NewAWGNChannel(15.8, 1).TransmitInPlace(syms)
 	bits := make([]byte, 0, 512)
 	out := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bits = m.AppendDemodulate(bits[:0], syms)
-		out = AppendBitsAsBytes(out[:0], bits)
+		out = refAppendBitsAsBytes(out[:0], bits)
 	}
 }
 
@@ -448,11 +614,11 @@ func BenchmarkDemodulatePacked(b *testing.B) {
 	pm, _ := NewPackedModem(NewQAM(4))
 	data := make([]byte, 54)
 	rand.New(rand.NewSource(1)).Read(data)
-	syms := pm.AppendModulateBytes(nil, data)
+	syms := pm.AppendModulate(nil, data, len(data)*8)
 	NewAWGNChannel(15.8, 1).TransmitInPlace(syms)
 	out := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out = pm.AppendDemodulateBytes(out[:0], syms)
+		out = pm.AppendDemodulate(out[:0], syms)
 	}
 }

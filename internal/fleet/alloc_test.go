@@ -6,10 +6,10 @@ import (
 
 // TestPipelineStepAllocFree pins the one step path's allocation
 // behavior: once buffers reach steady state, Pipeline.Step allocates
-// nothing — on the default packed-modem config, and on the general
-// modem with every fault process, ARQ, FEC and concealment enabled.
-// This is what the pooled buffers, the Append* kernels and the
-// receiver-owned decode scratch exist for.
+// nothing — on the default config, and with every fault process, ARQ,
+// FEC and concealment enabled. This is what the pooled and
+// stage-owned buffers, the Append* kernels, the stack symbol chunk and
+// the receiver-owned decode scratch exist for.
 func TestPipelineStepAllocFree(t *testing.T) {
 	for name, cfg := range map[string]Config{"default": DefaultConfig(), "harsh": faultConfig()} {
 		t.Run(name, func(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 	"mindful/internal/fault"
 )
 
-// packedFaultConfig returns a scenario that keeps the packed transport
-// eligible (no ARQ, no FEC) while injecting every per-implant fault
-// process — burst link drops, brownouts and electrode faults.
+// packedFaultConfig returns a scenario without ARQ or FEC that injects
+// every per-implant fault process — burst link drops, brownouts and
+// electrode faults.
 func packedFaultConfig() Config {
 	cfg := testConfig()
 	p := fault.DefaultProfile()
@@ -20,9 +20,9 @@ func packedFaultConfig() Config {
 }
 
 // TestBatchedDeterminismWall is the batch half of the determinism wall:
-// for every scenario — packed transport, every general-modem trigger
-// (FEC, ARQ, non-packable modulation), faults, drift and the closed
-// decode loop — the fleet digests must equal the values recorded from
+// for every scenario — the clean transport, FEC, ARQ, a modulation whose
+// symbols straddle bytes, faults, drift and the closed decode loop — the
+// fleet digests must equal the values recorded from
 // the two-runner simulator (scalar per-implant stages plus the batched
 // slab columns) before the runners were folded into Pipeline.Step, and
 // every batch size × worker count must reproduce the reference run's
@@ -41,6 +41,9 @@ func TestBatchedDeterminismWall(t *testing.T) {
 	fecOnly := testConfig()
 	fecOnly.FECDepth = 4
 
+	arqOnly := packedFaultConfig()
+	arqOnly.ARQ = comm.ARQConfig{MaxRetries: 2}
+
 	qam64 := testConfig()
 	qam64.Modulation = comm.NewQAM(6)
 	qam64.EbN0dB = 16
@@ -50,11 +53,11 @@ func TestBatchedDeterminismWall(t *testing.T) {
 		cfg                  Config
 		digest, decodeDigest uint64
 	}{
-		// Packed transport: square QAM, no FEC, no ARQ.
+		// 16-QAM, no FEC, no ARQ.
 		{"clean", testConfig(), 0x9c84c137f47cd3d1, 0},
-		// Packed transport with every fault process injected.
+		// Every fault process injected.
 		{"faults", packedFaultConfig(), 0x05967bc2339fd8cb, 0},
-		// Packed transport + decode/adapt stages + drift.
+		// Faults + decode/adapt stages + drift.
 		{"drift_decode", drifting, 0xefef691357e10e54, 0x2d2bcd34fb04d39f},
 		// The benchmark's fleet-decode decode config at the Kalman shape
 		// (32 channels), long enough for refits: the calibration fit
@@ -62,11 +65,14 @@ func TestBatchedDeterminismWall(t *testing.T) {
 		// InverseInto and the recalibrator's readout fit. Pinned from the
 		// accessor-loop linalg kernels, before they were slice-indexed.
 		{"calibrated_decode", calibrated, 0x14700a379e75473d, 0x9a8d00e59c13279c},
-		// General modem: FEC breaks packed eligibility.
+		// FEC: packed Hamming(7,4), the coded stream padded to symbols.
 		{"fec", fecOnly, 0xcc1c4db4a7912148, 0},
-		// General modem: ARQ + FEC + full fault profile.
+		// ARQ without FEC under the fault profile. Pinned from the
+		// bit-per-byte transport, before it was packed.
+		{"arq", arqOnly, 0xe98edc0211ded208, 0},
+		// ARQ + FEC + full fault profile.
 		{"harsh", faultConfig(), 0xa71d7bb5bb620017, 0},
-		// General modem: 6 bits/symbol does not divide 8.
+		// 6 bits/symbol: groups straddle bytes and frames pad to symbols.
 		{"qam64", qam64, 0x94a6cdb765fcc300, 0},
 	}
 	for _, sc := range scenarios {

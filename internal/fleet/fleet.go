@@ -157,7 +157,7 @@ func (c Config) Validate() error {
 	if c.Modulation == nil {
 		return errors.New("fleet: no modulation configured")
 	}
-	if _, err := comm.NewModem(c.Modulation); err != nil {
+	if _, err := comm.NewPackedModem(c.Modulation); err != nil {
 		return err
 	}
 	if c.Faults != nil {

@@ -211,6 +211,13 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SampleBits = 17 },
 		func(c *Config) { c.Modulation = nil },
 		func(c *Config) { c.Modulation = comm.NewQAM(3) }, // non-square QAM has no modem
+		// QAM bits outside 1..comm.MaxQAMBits: past it the modem's
+		// level arithmetic overflows (1<<100 is 0) or exhausts memory.
+		func(c *Config) { c.Modulation = comm.QAM{Bits: comm.MaxQAMBits + 2} },
+		func(c *Config) { c.Modulation = comm.QAM{Bits: 64} },
+		func(c *Config) { c.Modulation = comm.QAM{Bits: 200} },
+		func(c *Config) { c.Modulation = comm.QAM{Bits: -2} },
+		func(c *Config) { c.Modulation = comm.QAM{Bits: 0} },
 		// Eb/N0 values whose linear value (or its reciprocal) is not
 		// finite and positive would crash or poison the AWGN channel.
 		func(c *Config) { c.EbN0dB = math.NaN() },
@@ -242,6 +249,7 @@ func TestConfigValidate(t *testing.T) {
 	atBounds.Channels = MaxChannels
 	atBounds.SampleRate = units.Hertz(MaxSampleRateHz)
 	atBounds.Decode = DecodeConfig{Kind: DecoderKalman, Track: true, MeterRef: MaxMeterBins, MeterWin: MaxMeterBins}
+	atBounds.Modulation = comm.NewQAM(comm.MaxQAMBits)
 	if err := atBounds.Validate(); err != nil {
 		t.Errorf("config at every size bound rejected: %v", err)
 	}

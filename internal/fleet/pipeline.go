@@ -13,10 +13,10 @@ import (
 )
 
 // Pipeline is one implant's full dataflow — synthetic cortex → ADC →
-// frame → bits → (FEC) → symbols → AWGN → bits → frame → wearable →
-// (decoder) — exposed one tick at a time. Run drives a fleet of these to
-// completion; the serve gateway steps them under session control,
-// pausing, resuming and checkpointing mid-stream.
+// frame → (FEC) → symbols → AWGN → hard decisions → (FEC decode) →
+// frame → wearable → (decoder) — exposed one tick at a time. Run drives
+// a fleet of these to completion; the serve gateway steps them under
+// session control, pausing, resuming and checkpointing mid-stream.
 //
 // Internally the dataflow is a stage graph: source → transport →
 // receiver → (decode), each a Stage sharing one Tick record per step.
@@ -103,7 +103,7 @@ func NewPipeline(cfg Config, idx, worker int) (*Pipeline, error) {
 	}
 
 	trans := &transportStage{}
-	if trans.modem, err = comm.NewModem(cfg.Modulation); err != nil {
+	if trans.pm, err = comm.NewPackedModem(cfg.Modulation); err != nil {
 		return nil, err
 	}
 	trans.channel = comm.NewAWGNChannel(math.Pow(10, cfg.EbN0dB/10),
@@ -141,29 +141,12 @@ func NewPipeline(cfg Config, idx, worker int) (*Pipeline, error) {
 		}
 	}
 
-	// The packed modem carries the frame whenever it can express the
-	// modulation and no FEC or ARQ needs the bit stream.
-	if trans.fec == nil && trans.arq == nil {
-		trans.pm, _ = comm.NewPackedModem(cfg.Modulation)
-	}
-
 	// Pooled buffers: the tick path is allocation-free once these have
 	// grown to steady-state capacity. Close returns them.
 	src.framePtr = comm.GetByteBuf()
-	trans.rxFramePtr = comm.GetByteBuf()
-	if trans.pm == nil {
-		trans.bitPtr = comm.GetBitBuf()
-		trans.rxBitPtr = comm.GetBitBuf()
-		trans.symPtr = comm.GetSymbolBuf()
-	}
-	if trans.fec != nil {
-		trans.codedPtr = comm.GetBitBuf()
-		trans.decPtr = comm.GetBitBuf()
-	}
 	if trans.link != nil {
 		trans.linkPtr = comm.GetByteBuf()
 	}
-	trans.k = trans.modem.BitsPerSymbol()
 
 	p.src, p.trans, p.recv = src, trans, recv
 	p.stages = []Stage{src, trans, recv}

@@ -161,29 +161,22 @@ func (s *sourceStage) Close() {
 	comm.PutByteBuf(s.framePtr)
 }
 
-// transportStage is the uplink: frame bits → (FEC) → symbols → AWGN →
-// demodulation → (FEC decode) → bytes → (burst link), with the ARQ loop
-// retrying failed frames inside the tick. When the config allows it —
-// square QAM with k ∈ {2, 4, 8}, no FEC, no ARQ — the frame goes over
-// the air through the packed byte modem instead of the bit-level one:
-// the same symbols, noise and hard decisions, without the
-// one-byte-per-bit stream.
+// transportStage is the uplink: frame bytes → (FEC) → packed modem →
+// AWGN → hard decisions → (FEC decode) → bytes → (burst link), with the
+// ARQ loop retrying failed frames inside the tick. Every modulation,
+// FEC and ARQ setting takes this one packed path; the bit-per-byte
+// path it replaced is the oracle in reference_test.go.
 type transportStage struct {
-	modem   comm.Modem
-	pm      *comm.PackedModem // nil unless the packed path applies
+	pm      *comm.PackedModem
 	channel *comm.AWGNChannel
 	fec     *comm.FEC
 	arq     *comm.ARQ
 	link    *fault.BurstLink
-	k       int // bits per symbol
 
-	bitPtr, rxBitPtr *[]byte        // nil on the packed path
-	symPtr           *[]comm.Symbol // nil on the packed path
-	codedPtr, decPtr *[]byte
-	linkPtr          *[]byte
-	rxFramePtr       *[]byte
-	finalBuf         []byte
-	checkBuf         []uint16 // ARQ's frame-validity decode scratch
+	codedBuf, rxBuf, decBuf []byte // FEC-coded, demodulated and FEC-decoded streams
+	linkPtr                 *[]byte
+	finalBuf                []byte
+	checkBuf                []uint16 // ARQ's frame-validity decode scratch
 }
 
 func (t *transportStage) Name() string { return "transport" }
@@ -195,14 +188,9 @@ func (t *transportStage) Name() string { return "transport" }
 // fault-free pipeline — the clean-path byte-identity invariant the
 // determinism wall pins.
 func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
-	var rxFrame []byte
-	if t.pm != nil {
-		rxFrame = t.airPacked(tk)
-	} else {
-		var err error
-		if rxFrame, err = t.airBits(tk); err != nil {
-			return nil, err
-		}
+	rxFrame, err := t.air(tk)
+	if err != nil {
+		return nil, err
 	}
 	if t.link != nil {
 		out := t.link.AppendTransport((*t.linkPtr)[:0], rxFrame)
@@ -216,82 +204,63 @@ func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
 	return rxFrame, nil
 }
 
-// packedChunk is the symbols airPacked keeps in flight at once, on the
-// stack: modulation, noise and hard decisions run chunk by chunk, in
-// symbol order, so the channel draws exactly as for the whole frame.
-const packedChunk = 64
+// airChunk is the symbols air keeps in flight at once, on the stack. A
+// chunk carries 64·k bits, a whole number of bytes, so every chunk
+// starts on a byte of the packed stream; modulation, noise and hard
+// decisions run chunk by chunk in symbol order, so the channel draws
+// exactly as for the whole frame.
+const airChunk = 64
 
-// airPacked sends the frame's bytes through the packed modem. A frame
-// maps to a whole number of symbols with no pad bits, so the
-// XOR+popcount error count equals airBits' per-bit comparison exactly.
-func (t *transportStage) airPacked(tk *Tick) []byte {
-	var buf [packedChunk]comm.Symbol
-	frame := tk.Frame
-	step := packedChunk / t.pm.SymbolsPerByte() // frame bytes per chunk
-	rxFrame := (*t.rxFramePtr)[:0]
-	for off := 0; off < len(frame); off += step {
-		syms := t.pm.AppendModulateBytes(buf[:0], frame[off:min(off+step, len(frame))])
-		t.channel.TransmitInPlace(syms)
-		rxFrame = t.pm.AppendDemodulateBytes(rxFrame, syms)
+// airLen returns the bits a frame of n bytes puts on the air: the
+// (FEC-coded) stream, and that stream zero-padded to whole symbols.
+func (t *transportStage) airLen(n int) (nbits, padded int) {
+	nbits = 8 * n
+	if t.fec != nil {
+		nbits = t.fec.CodedBits(nbits)
 	}
-	*t.rxFramePtr = rxFrame
-	for i := range frame {
-		tk.Res.BitErrors += int64(mathbits.OnesCount8(frame[i] ^ rxFrame[i]))
-	}
-	tk.Res.BitsSent += int64(len(frame) * 8)
-	return rxFrame
+	k := t.pm.BitsPerSymbol()
+	return nbits, (nbits + k - 1) / k * k
 }
 
-// airBits sends the frame through the general bit-level modem, with
-// FEC when configured.
-func (t *transportStage) airBits(tk *Tick) ([]byte, error) {
+// air sends the tick's frame over the radio and returns the frame-length
+// bytes the receiver recovers. Bit errors are counted by XOR+popcount
+// over the symbol-padded stream: the coded stream and the demodulated
+// one are both zero past their last bit, so this equals a per-bit
+// comparison of every bit on the air, pad bits included.
+func (t *transportStage) air(tk *Tick) ([]byte, error) {
 	frame := tk.Frame
-	raw := comm.AppendBytesAsBits((*t.bitPtr)[:0], frame)
-	*t.bitPtr = raw
-	tx := raw
-	codedLen := len(raw)
+	tx := frame
 	if t.fec != nil {
-		coded := t.fec.AppendEncode((*t.codedPtr)[:0], raw)
-		tx = coded
-		codedLen = len(coded)
+		t.codedBuf = t.fec.AppendEncode(t.codedBuf[:0], frame)
+		tx = t.codedBuf
 	}
-	// Pad to a symbol boundary; the pad is dropped after demodulation.
-	for len(tx)%t.k != 0 {
-		tx = append(tx, 0)
+	nbits, padded := t.airLen(len(frame))
+	var buf [airChunk]comm.Symbol
+	step := airChunk * t.pm.BitsPerSymbol()
+	rx := t.rxBuf[:0]
+	for off := 0; off < nbits; off += step {
+		syms := t.pm.AppendModulate(buf[:0], tx[off/8:], min(nbits-off, step))
+		t.channel.TransmitInPlace(syms)
+		rx = t.pm.AppendDemodulate(rx, syms)
 	}
-	if t.fec != nil {
-		*t.codedPtr = tx
-	} else {
-		*t.bitPtr = tx
-	}
-	syms, merr := t.modem.AppendModulate((*t.symPtr)[:0], tx)
-	if merr != nil {
-		return nil, merr
-	}
-	*t.symPtr = syms
-	t.channel.TransmitInPlace(syms)
-	rxBits := t.modem.AppendDemodulate((*t.rxBitPtr)[:0], syms)
-	*t.rxBitPtr = rxBits
-	for i := range tx {
-		if tx[i] != rxBits[i] {
-			tk.Res.BitErrors++
+	t.rxBuf = rx
+	for i, b := range rx {
+		if i < len(tx) {
+			b ^= tx[i]
 		}
+		tk.Res.BitErrors += int64(mathbits.OnesCount8(b))
 	}
-	tk.Res.BitsSent += int64(len(tx))
-
-	data := rxBits[:codedLen]
-	if t.fec != nil {
-		dec, fixed, derr := t.fec.AppendDecode((*t.decPtr)[:0], data)
-		if derr != nil {
-			return nil, derr
-		}
-		*t.decPtr = dec
-		tk.Res.FECCorrected += int64(fixed)
-		data = dec
+	tk.Res.BitsSent += int64(padded)
+	if t.fec == nil {
+		return rx[:len(frame)], nil
 	}
-	rxFrame := comm.AppendBitsAsBytes((*t.rxFramePtr)[:0], data[:len(frame)*8])
-	*t.rxFramePtr = rxFrame
-	return rxFrame, nil
+	dec, fixed, err := t.fec.AppendDecode(t.decBuf[:0], rx, nbits)
+	if err != nil {
+		return nil, err
+	}
+	t.decBuf = dec
+	tk.Res.FECCorrected += int64(fixed)
+	return dec[:len(frame)], nil
 }
 
 func (t *transportStage) Step(tk *Tick) error {
@@ -310,13 +279,7 @@ func (t *transportStage) Step(tk *Tick) error {
 	// The wearable keeps the last bytes it heard, so an exhausted budget
 	// still surfaces the corrupt frame (counted as such) rather than
 	// silently vanishing.
-	air := len(tk.Frame) * 8
-	if t.fec != nil {
-		air = t.fec.CodedBits(air)
-	}
-	if rem := air % t.k; rem != 0 {
-		air += t.k - rem
-	}
+	_, air := t.airLen(len(tk.Frame))
 	haveFinal := false
 	var attemptErr error
 	t.arq.Send(tk.Frame, air, func([]byte) bool {
@@ -391,16 +354,6 @@ func (t *transportStage) Restore(cfg Config, st *PipelineState) error {
 }
 
 func (t *transportStage) Close() {
-	comm.PutByteBuf(t.rxFramePtr)
-	if t.bitPtr != nil {
-		comm.PutBitBuf(t.bitPtr)
-		comm.PutBitBuf(t.rxBitPtr)
-		comm.PutSymbolBuf(t.symPtr)
-	}
-	if t.codedPtr != nil {
-		comm.PutBitBuf(t.codedPtr)
-		comm.PutBitBuf(t.decPtr)
-	}
 	if t.linkPtr != nil {
 		comm.PutByteBuf(t.linkPtr)
 	}

@@ -85,8 +85,8 @@ type SessionConfig struct {
 	Channels     int     `json:"channels"`
 	SampleRateHz float64 `json:"sample_rate_hz"`
 	SampleBits   int     `json:"sample_bits"`
-	// QAMBits selects the modem: 0 = OOK, 1 = BPSK, an even value n =
-	// square 2^n-QAM.
+	// QAMBits selects the modem: 0 = OOK, 1 = BPSK, an even value n up
+	// to comm.MaxQAMBits = square 2^n-QAM.
 	QAMBits int     `json:"qam_bits"`
 	EbN0dB  float64 `json:"ebn0_db"`
 	Seed    int64   `json:"seed"`
@@ -163,6 +163,8 @@ func (c SessionConfig) FleetConfig() (fleet.Config, error) {
 	switch {
 	case c.QAMBits == 0:
 		mod = comm.OOK{}
+	case c.QAMBits < 0 || c.QAMBits > comm.MaxQAMBits:
+		return fleet.Config{}, fmt.Errorf("checkpoint: QAM bits %d outside 0..%d", c.QAMBits, comm.MaxQAMBits)
 	case c.QAMBits == 1 || c.QAMBits%2 == 0:
 		mod = comm.NewQAM(c.QAMBits)
 	default:

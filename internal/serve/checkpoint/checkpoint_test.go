@@ -181,6 +181,9 @@ func TestRestoreRejectsTamperedState(t *testing.T) {
 		// A forged size past its bound is rejected before the pipeline
 		// builder allocates for it.
 		{"sample-rate", func(c *SessionConfig) { c.SampleRateHz = 1e12 }},
+		// QAM bits past comm.MaxQAMBits used to build a modem whose
+		// level table wrapped to zero entries and panicked mid-session.
+		{"qam-bits", func(c *SessionConfig) { c.QAMBits = 200 }},
 	} {
 		cp, err := Decode(blob)
 		if err != nil {

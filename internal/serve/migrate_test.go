@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mindful/internal/cluster/wire"
+	"mindful/internal/serve/checkpoint"
 )
 
 // exportEnvelope drives the migration-source endpoint.
@@ -128,6 +129,34 @@ func TestImportRejectsTickMismatch(t *testing.T) {
 	infos := srv.Sessions()
 	if len(infos) != 1 {
 		t.Fatalf("%d sessions after rejected import, want the original 1", len(infos))
+	}
+}
+
+// TestImportRejectsForgedQAMBits: a transfer whose checkpoint carries
+// QAM bits past comm.MaxQAMBits is rejected at import, and the target
+// keeps only its original session.
+func TestImportRejectsForgedQAMBits(t *testing.T) {
+	srv := startServer(t, Config{})
+	base := "http://" + srv.ControlAddr()
+	info, err := createSession(base, CreateRequest{SessionConfig: testSessionConfig(), StartPaused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := exportEnvelope(base, info.ID, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := checkpoint.Decode(env.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Config.QAMBits = 200
+	env.Blob = checkpoint.Encode(cp)
+	if _, err := importEnvelope(base, env); err == nil {
+		t.Fatal("checkpoint with QAM bits 200 imported")
+	}
+	if n := len(srv.Sessions()); n != 1 {
+		t.Fatalf("%d sessions after rejected import, want the original 1", n)
 	}
 }
 

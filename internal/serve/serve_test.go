@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mindful/internal/comm"
 	"mindful/internal/fleet"
 	"mindful/internal/serve/checkpoint"
 )
@@ -272,6 +273,13 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{"meter_win", func(c *checkpoint.SessionConfig) {
 			c.Decoder, c.Track, c.MeterWin = "kalman", true, fleet.MaxMeterBins+1
 		}},
+		// qam_bits past comm.MaxQAMBits: 200 used to panic the session
+		// goroutine, 64 to exhaust memory in validation, −2 to panic the
+		// handler.
+		{"qam_bits", func(c *checkpoint.SessionConfig) { c.QAMBits = comm.MaxQAMBits + 2 }},
+		{"qam_bits", func(c *checkpoint.SessionConfig) { c.QAMBits = 64 }},
+		{"qam_bits", func(c *checkpoint.SessionConfig) { c.QAMBits = 200 }},
+		{"qam_bits", func(c *checkpoint.SessionConfig) { c.QAMBits = -2 }},
 	} {
 		cfg := testSessionConfig()
 		tc.mutate(&cfg)
