@@ -39,15 +39,18 @@ determinism:
 	$(GO) test -race -run 'TestFleet(DeterminismWall|Modulations|SeedSensitivity)' -v ./internal/fleet/
 
 # Native Go fuzzing, ~$(FUZZTIME) per target: the comm frame parser and
-# packing round trips, the packed FEC decoder and packed modem against
-# their bit-level oracles, and the dsp Delta–Rice codec.
+# packing round trips, the tiled FEC encoder and decoder and the packed
+# modem against their bit-level oracles, the burst link against its
+# per-bit walk, and the dsp Delta–Rice codec.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePacket -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzPackSamples -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytes -fuzztime $(FUZZTIME) ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzFECEncode -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzFECDecode -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzPackedModem -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzARQReorder -fuzztime $(FUZZTIME) ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzBurstLink -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceDecode -fuzztime $(FUZZTIME) ./internal/dsp/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceRoundTrip -fuzztime $(FUZZTIME) ./internal/dsp/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
@@ -149,7 +152,9 @@ drift-smoke:
 
 # Fast-kernel smoke: the bit-identity foundations (packed-modem decision
 # thresholds at every boundary ±1 ulp, each fast kernel against its
-# reference oracle, bulk normal sampler draw-for-draw against math/rand),
+# reference oracle, the tiled FEC codec and the bulk-drawn burst link
+# against their bit-level oracles, the generator and the bulk normal and
+# uniform samplers draw-for-draw against math/rand),
 # the transport stage against its bit-per-byte oracle on the whole
 # transport grid, the determinism wall (batch × workers × scenario
 # digests equal the recorded pins, under the race detector), the
@@ -157,7 +162,8 @@ drift-smoke:
 # modem floor, and the worker scaling baseline (BENCH_fleet.json).
 batch-smoke:
 	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|TestFECPackedMatchesOracle|FastIdentical|TestPackedModemSpeedupFloor' ./internal/comm/
-	$(GO) test -run 'TestFillNormBitIdentical' ./internal/detrand/
+	$(GO) test -run 'TestSequenceMatchesMathRand|TestFillNormBitIdentical|TestFillFloat64BitIdentical|TestFloat64RedrawsOne' ./internal/detrand/
+	$(GO) test -run 'TestBurstLinkMatchesOracle|TestAppendTransportZeroAlloc' ./internal/fault/
 	$(GO) test -run 'FastIdentical' ./internal/neural/
 	$(GO) test -run 'TestTransportMatchesOracle' ./internal/fleet/
 	$(GO) test -race -run 'TestBatched|TestBatchValidate' ./internal/fleet/

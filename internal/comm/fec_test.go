@@ -188,3 +188,46 @@ func TestFECCorrectedCounter(t *testing.T) {
 		t.Errorf("Corrected() = %d, want 1", f.Corrected())
 	}
 }
+
+// TestTranspose8 checks the word transpose against the cell-by-cell
+// definition: bit (r, c) — byte r from the top, bit 7−c of it — moves
+// to (c, r).
+func TestTranspose8(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cell := func(x uint64, r, c int) uint64 { return x >> (63 - 8*r - c) & 1 }
+	for iter := 0; iter < 1000; iter++ {
+		x := rng.Uint64()
+		if iter < 64 {
+			x = 1 << iter // every single cell
+		}
+		got := transpose8(x)
+		for r := 0; r < 8; r++ {
+			for c := 0; c < 8; c++ {
+				if cell(got, c, r) != cell(x, r, c) {
+					t.Fatalf("transpose8(%#x) = %#x: cell (%d,%d) not moved to (%d,%d)", x, got, r, c, c, r)
+				}
+			}
+		}
+	}
+}
+
+// TestTileRows checks the decoder's column spread for every tile width
+// against its definition: column c of an n-wide tile (bits 7n−n−c·n up
+// to 7n−1−c·n) lands top-aligned in byte c from the top, and nothing
+// else is set.
+func TestTileRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= fecTile; n++ {
+		for iter := 0; iter < 200; iter++ {
+			x := rng.Uint64() & (1<<(fecCodeBits*n) - 1)
+			var want uint64
+			for c := 0; c < fecCodeBits; c++ {
+				col := x >> (n * (fecCodeBits - 1 - c)) & (1<<n - 1)
+				want |= col << (64 - 8*c - n)
+			}
+			if got := tileRows(x, n); got != want {
+				t.Fatalf("n=%d: tileRows(%#x) = %#x, want %#x", n, x, got, want)
+			}
+		}
+	}
+}

@@ -437,13 +437,13 @@ func TestPackedModemIdentical(t *testing.T) {
 // decoded data and correction counts.
 func TestFECPackedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, depth := range []int{1, 2, 3, 4, 7, 8, 16, 33} {
+	for _, depth := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 64, 200} {
 		f, err := NewFEC(depth)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for iter := 0; iter < 40; iter++ {
-			data := make([]byte, rng.Intn(80))
+			data := make([]byte, rng.Intn(80+depth))
 			rng.Read(data)
 			refCoded := refFECEncode(depth, nil, refAppendBytesAsBits(nil, data))
 			coded := f.AppendEncode(nil, data)
@@ -620,5 +620,30 @@ func BenchmarkDemodulatePacked(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out = pm.AppendDemodulate(out[:0], syms)
+	}
+}
+
+// BenchmarkFEC codes and decodes one 48-byte frame (the fleet's
+// 32-channel, 10-bit frame plus header) at each interleaver depth.
+func BenchmarkFEC(b *testing.B) {
+	data := make([]byte, 48)
+	rand.New(rand.NewSource(1)).Read(data)
+	for _, depth := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			f, err := NewFEC(depth)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nbits := f.CodedBits(8 * len(data))
+			coded := make([]byte, 0, 96)
+			back := make([]byte, 0, 64)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coded = f.AppendEncode(coded[:0], data)
+				if back, _, err = f.AppendDecode(back[:0], coded, nbits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

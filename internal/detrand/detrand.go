@@ -13,6 +13,13 @@
 // repository: swapping a component's *rand.Rand for *detrand.Rand must not
 // move a single byte of simulator output. TestSequenceMatchesMathRand
 // pins it.
+//
+// The generator itself is math/rand's additive lagged Fibonacci source,
+// copied verbatim into rng.go (only the package line differs, so a diff
+// against $GOROOT/src/math/rand/rng.go is its review). Holding it by
+// value lets the bulk samplers, the fast samplers and the Restore
+// fast-forward step it with direct, inlinable calls instead of two
+// interface dispatches per draw.
 package detrand
 
 import (
@@ -27,28 +34,35 @@ type State struct {
 	Draws uint64
 }
 
-// source wraps the stock math/rand source, counting steps. Both Int63 and
+// source wraps math/rand's generator, counting steps. Both Int63 and
 // Uint64 advance the underlying generator by exactly one step, so the
 // count is the generator's absolute position regardless of which
 // top-level rand.Rand method triggered the draw.
 type source struct {
-	src   rand.Source64
+	rng   rngSource
 	draws uint64
+}
+
+// newSource returns a counting source seeded like rand.NewSource(seed).
+func newSource(seed int64) *source {
+	s := new(source)
+	s.rng.Seed(seed)
+	return s
 }
 
 func (s *source) Int63() int64 {
 	s.draws++
-	return s.src.Int63()
+	return s.rng.Int63()
 }
 
 func (s *source) Uint64() uint64 {
 	s.draws++
-	return s.src.Uint64()
+	return s.rng.Uint64()
 }
 
 func (s *source) Seed(seed int64) {
 	s.draws = 0
-	s.src.Seed(seed)
+	s.rng.Seed(seed)
 }
 
 // Rand is a *rand.Rand whose position is observable and restorable. All
@@ -62,7 +76,7 @@ type Rand struct {
 
 // New returns a counting generator seeded like rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
-	cnt := &source{src: rand.NewSource(seed).(rand.Source64)}
+	cnt := newSource(seed)
 	return &Rand{Rand: rand.New(cnt), seed: seed, cnt: cnt}
 }
 
@@ -82,7 +96,7 @@ func Restore(st State) *Rand {
 	// rand.Rand's internal caches are untouched (they only matter for
 	// Read, which nothing in this repository uses).
 	for i := uint64(0); i < st.Draws; i++ {
-		r.cnt.src.Uint64()
+		r.cnt.rng.Uint64()
 	}
 	r.cnt.draws = st.Draws
 	return r

@@ -1,19 +1,33 @@
 package detrand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
+// sequenceSeeds covers the seeding edge cases of math/rand's generator
+// (0 is remapped, seeds are reduced mod 2^31−1 with negatives folded
+// up, and the int64 extremes sit on both sides of that reduction) plus
+// three seeds the fleet actually derives: fleet.DeriveSeed(1, 0,
+// StreamLink), (1, 3, StreamChannel) and (2, 7, StreamDrift).
+var sequenceSeeds = []int64{
+	1, -7, 123456789,
+	0, 1<<31 - 1, -(1<<31 - 1), math.MinInt64, math.MaxInt64,
+	-681043614410909012, 6520056262494297177, 7931787381329147257,
+}
+
 // TestSequenceMatchesMathRand: the counting wrapper must be value-exact
 // against the stock generator for every method the simulators use. This
 // is the invariant that keeps every recorded digest pin valid after the
-// rand → detrand swap.
+// rand → detrand swap. Each seed runs well past three turns of the
+// generator's 607-word feedback register, so every register slot is
+// read back after being written.
 func TestSequenceMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{1, -7, 123456789} {
+	for _, seed := range sequenceSeeds {
 		ref := rand.New(rand.NewSource(seed))
 		got := New(seed)
-		for i := 0; i < 2000; i++ {
+		for i := 0; i < 4*607; i++ {
 			switch i % 5 {
 			case 0:
 				if a, b := ref.Float64(), got.Float64(); a != b {
@@ -36,6 +50,18 @@ func TestSequenceMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d draw %d: Uint64 %v != %v", seed, i, b, a)
 				}
 			}
+		}
+		// The raw generator too, so a Restore fast-forward (which steps
+		// it directly) lands where the stock source would.
+		src := rand.NewSource(seed).(rand.Source64)
+		raw := newSource(seed)
+		for i := 0; i < 3*607; i++ {
+			if a, b := src.Uint64(), raw.Uint64(); a != b {
+				t.Fatalf("seed %d step %d: generator %d != stock %d", seed, i, b, a)
+			}
+		}
+		if raw.draws != 3*607 {
+			t.Fatalf("seed %d: %d draws counted, want %d", seed, raw.draws, 3*607)
 		}
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"math/rand"
 )
 
-// This file provides FastNormFloat64 and FastFloat64: drop-in samplers
-// that produce bit-identical value streams to math/rand's NormFloat64
-// and Float64 while skipping the rand.Rand wrapper's interface dispatch
-// on every draw. The fleet's sensing and channel kernels call these in
-// their inner loops; their stock-sampler references live on as test
+// This file provides FastNormFloat64 and FastFloat64, and their bulk
+// forms FillNorm and FillFloat64: drop-in samplers that produce
+// bit-identical value streams to math/rand's NormFloat64 and Float64
+// while skipping the rand.Rand wrapper's interface dispatch on every
+// draw. The fleet's sensing, channel and burst-link kernels call these
+// in their inner loops; their stock-sampler references live on as test
 // oracles, and the determinism walls prove the two agree.
 //
 // Bit identity is not assumed — it is checked. init() rebuilds the
@@ -17,7 +18,7 @@ import (
 // generator used, then replays thousands of interleaved normal/uniform
 // draws against the stock generator across several seeds. Any mismatch
 // (a future Go release changing the algorithm, say) permanently routes
-// the Fast methods through the stock path instead.
+// the Fast and Fill methods through the stock path instead.
 
 // zigRn is the start of the ziggurat's right tail.
 const zigRn = 3.442619855899
@@ -70,7 +71,7 @@ func buildZigTables() {
 func verifyZig() bool {
 	for _, seed := range []int64{1, 7, 42, -12345} {
 		ref := rand.New(rand.NewSource(seed))
-		got := &source{src: rand.NewSource(seed).(rand.Source64)}
+		got := newSource(seed)
 		for i := 0; i < 4096; i++ {
 			if math.Float64bits(ref.NormFloat64()) != math.Float64bits(got.norm()) {
 				return false
@@ -90,12 +91,17 @@ func zigAbsInt32(i int32) uint32 {
 	return uint32(i)
 }
 
+// unitFloat is math/rand's Float64 conversion: an Int63 scaled by
+// 2^-63. Values within 2^9 of 2^63 round up to exactly 1, which Float64
+// rejects and redraws.
+func unitFloat(x int64) float64 { return float64(x) / (1 << 63) }
+
 // float64 is math/rand's Float64 over the counting source: Int63
 // scaled by 2^-63, redrawn in the (astronomically rare) case the
 // division rounds up to exactly 1.
 func (s *source) float64() float64 {
 again:
-	f := float64(s.Int63()) / (1 << 63)
+	f := unitFloat(s.Int63())
 	if f == 1 {
 		goto again
 	}
@@ -192,7 +198,7 @@ func (r *Rand) FillNorm(dst []float64) {
 		}
 		return
 	}
-	src := r.cnt.src
+	src := &r.cnt.rng
 	var n uint64
 	for i := range dst {
 		j := int32(uint32(src.Int63() >> 31))
@@ -206,6 +212,33 @@ func (r *Rand) FillNorm(dst []float64) {
 		r.cnt.draws += n
 		n = 0
 		dst[i] = r.cnt.normSlow(j, x)
+	}
+	r.cnt.draws += n
+}
+
+// FillFloat64 fills dst with exactly the values len(dst) successive
+// Float64 calls would produce, the f == 1 redraw included — the bulk
+// sampler the burst link draws its per-bit uniforms from. Like
+// FillNorm it keeps the draw count in a register and adds it once, so
+// the per-draw cost is the raw generator step. Falls back to per-call
+// Float64 if the init self-check failed.
+func (r *Rand) FillFloat64(dst []float64) {
+	if !zigOK {
+		for i := range dst {
+			dst[i] = r.Float64()
+		}
+		return
+	}
+	src := &r.cnt.rng
+	var n uint64
+	for i := range dst {
+	again:
+		f := unitFloat(src.Int63())
+		n++
+		if f == 1 {
+			goto again
+		}
+		dst[i] = f
 	}
 	r.cnt.draws += n
 }

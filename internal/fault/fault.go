@@ -225,44 +225,79 @@ func (l *BurstLink) Transport(buf []byte) []byte {
 	return l.AppendTransport(nil, buf)
 }
 
+// linkDraws is the burst link's uniform buffer: one stack block of
+// uniforms, refilled from detrand's bulk sampler as the walk consumes it.
+const linkDraws = 256
+
 // AppendTransport appends the transported frame to dst and returns the
 // extended slice, or nil when the frame is dropped whole. The input
 // buffer is never aliased or modified, so pooled sender frames stay
 // pristine; passing a recycled dst[:0] makes the path allocation-free.
+//
+// Each bit first advances the Gilbert–Elliott state with one uniform,
+// then, when the state's BER is positive, flips with a second — one
+// fixed draw order so replays are exact. The uniforms come from a stack
+// buffer filled in bulk. A bit takes at least minDraws uniforms (two
+// when both BERs are positive, else one), so a refill of at most
+// minDraws per remaining bit never draws past where the walk stops: the
+// stream position after a frame is the one per-bit Float64 calls leave.
 func (l *BurstLink) AppendTransport(dst, buf []byte) []byte {
 	l.stats.Frames++
 	l.frames.Inc()
-	if l.p.FrameLoss > 0 && l.rng.Float64() < l.p.FrameLoss {
+	p := &l.p
+	if p.FrameLoss > 0 && l.rng.FastFloat64() < p.FrameLoss {
 		l.stats.DroppedFrames++
 		l.drops.Inc()
 		return nil
 	}
 	base := len(dst)
 	dst = append(dst, buf...)
-	if l.p.BurstPGB == 0 && l.p.BERGood == 0 && !l.bad {
+	if p.BurstPGB == 0 && p.BERGood == 0 && !l.bad {
 		return dst // channel can never corrupt: skip the bit walk
 	}
-	for i := 0; i < len(buf)*8; i++ {
-		// State transition first, then the error draw — one fixed draw
-		// order so replays are exact.
-		if l.bad {
-			if l.rng.Float64() < l.p.BurstPBG {
-				l.bad = false
+	out := dst[base:]
+	minDraws := 1
+	if p.BERGood > 0 && p.BERBad > 0 {
+		minDraws = 2
+	}
+	var u [linkDraws]float64
+	k, n := 0, 0 // next unread uniform, uniforms in u
+	bad := l.bad
+	var badBits, flips int64
+	nbits := len(buf) * 8
+	for i := 0; i < nbits; i++ {
+		if k == n {
+			n, k = min(linkDraws, minDraws*(nbits-i)), 0
+			l.rng.FillFloat64(u[:n])
+		}
+		x := u[k]
+		k++
+		if bad {
+			bad = x >= p.BurstPBG
+		} else {
+			bad = x < p.BurstPGB
+		}
+		ber := p.BERGood
+		if bad {
+			ber = p.BERBad
+			badBits++
+		}
+		if ber > 0 {
+			if k == n {
+				n, k = min(linkDraws, 1+minDraws*(nbits-1-i)), 0
+				l.rng.FillFloat64(u[:n])
 			}
-		} else if l.rng.Float64() < l.p.BurstPGB {
-			l.bad = true
-		}
-		ber := l.p.BERGood
-		if l.bad {
-			ber = l.p.BERBad
-			l.stats.BadBits++
-		}
-		if ber > 0 && l.rng.Float64() < ber {
-			dst[base+i/8] ^= 1 << (7 - i%8)
-			l.stats.BitFlips++
-			l.flips.Inc()
+			if u[k] < ber {
+				out[i>>3] ^= 0x80 >> (i & 7)
+				flips++
+			}
+			k++
 		}
 	}
+	l.bad = bad
+	l.stats.BadBits += badBits
+	l.stats.BitFlips += flips
+	l.flips.Add(flips)
 	return dst
 }
 

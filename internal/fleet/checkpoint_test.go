@@ -225,3 +225,58 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal("restore without ARQ succeeded")
 	}
 }
+
+// TestRestoreRejectsForgedStreamSeeds: restore takes each RNG stream's
+// seed from the checkpoint, so each must equal the seed the config
+// derives for that implant and stream. A forged one would swap in
+// another stream — a different fault or drift history under the same
+// config. One row per stream; the unedited state must still restore.
+func TestRestoreRejectsForgedStreamSeeds(t *testing.T) {
+	cfg := checkpointConfigs()["full-stack"]
+	dp := driftProfile()
+	cfg.Drift = &dp
+	p, err := NewPipeline(cfg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepN(t, p, 8)
+	st, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	if st.Link == nil || st.Brown == nil || st.Drift == nil {
+		t.Fatal("checkpoint lacks a burst-link, brownout or drift stream")
+	}
+	q, err := RestorePipeline(cfg, st)
+	if err != nil {
+		t.Fatalf("unedited checkpoint rejected: %v", err)
+	}
+	q.Close()
+
+	for name, forge := range map[string]func(*PipelineState){
+		"channel": func(s *PipelineState) { s.Channel.RNG.Seed++ },
+		"burst link": func(s *PipelineState) {
+			l := *s.Link
+			l.RNG.Seed++
+			s.Link = &l
+		},
+		"brownout": func(s *PipelineState) {
+			b := *s.Brown
+			b.RNG.Seed++
+			s.Brown = &b
+		},
+		"drift": func(s *PipelineState) {
+			d := *s.Drift
+			d.RNG.Seed = DeriveSeed(cfg.Seed, 0, StreamDrift) // implant 0's stream
+			s.Drift = &d
+		},
+	} {
+		forged := st
+		forge(&forged)
+		if q, err := RestorePipeline(cfg, forged); err == nil {
+			q.Close()
+			t.Errorf("%s: checkpoint with a forged RNG seed restored", name)
+		}
+	}
+}

@@ -132,6 +132,9 @@ func (s *sourceStage) Restore(cfg Config, st *PipelineState) error {
 		return errors.New("fleet: brownout state does not match config")
 	}
 	if s.brown != nil {
+		if err := checkStreamSeed(cfg, st, StreamBrownout, "brownout", st.Brown.RNG.Seed); err != nil {
+			return err
+		}
 		if s.brown, err = fault.RestoreBrownout(*cfg.Faults, *st.Brown); err != nil {
 			return err
 		}
@@ -148,11 +151,25 @@ func (s *sourceStage) Restore(cfg Config, st *PipelineState) error {
 		return errors.New("fleet: drift state does not match config")
 	}
 	if s.drift != nil {
+		if err := checkStreamSeed(cfg, st, StreamDrift, "drift", st.Drift.RNG.Seed); err != nil {
+			return err
+		}
 		// Restore after the generator so the drifted unit state lands on
 		// the restored cortex.
 		if s.drift, err = drift.RestoreProcess(*cfg.Drift, s.gen, *st.Drift); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkStreamSeed rejects a checkpointed RNG stream whose seed is not
+// the one this implant derives for it: restore takes each stream's seed
+// from the checkpoint, so a forged one would otherwise swap in another
+// stream and replay a different history under the same config.
+func checkStreamSeed(cfg Config, st *PipelineState, stream uint64, name string, seed int64) error {
+	if want := DeriveSeed(cfg.Seed, uint64(st.Counters.Index), stream); seed != want {
+		return fmt.Errorf("fleet: %s RNG seed %d does not derive from config seed %d", name, seed, cfg.Seed)
 	}
 	return nil
 }
@@ -324,8 +341,8 @@ func (t *transportStage) Snapshot(st *PipelineState) {
 }
 
 func (t *transportStage) Restore(cfg Config, st *PipelineState) error {
-	if want := DeriveSeed(cfg.Seed, uint64(st.Counters.Index), StreamChannel); st.Channel.RNG.Seed != want {
-		return fmt.Errorf("fleet: channel RNG seed %d does not derive from config seed %d", st.Channel.RNG.Seed, cfg.Seed)
+	if err := checkStreamSeed(cfg, st, StreamChannel, "channel", st.Channel.RNG.Seed); err != nil {
+		return err
 	}
 	t.channel = comm.RestoreAWGNChannel(math.Pow(10, cfg.EbN0dB/10), st.Channel)
 	if t.arq == nil && st.ARQ != (comm.ARQStats{}) {
@@ -344,6 +361,9 @@ func (t *transportStage) Restore(cfg Config, st *PipelineState) error {
 		return errors.New("fleet: burst-link state does not match config")
 	}
 	if t.link != nil {
+		if err := checkStreamSeed(cfg, st, StreamLink, "burst-link", st.Link.RNG.Seed); err != nil {
+			return err
+		}
 		link, err := fault.RestoreBurstLink(*cfg.Faults, *st.Link)
 		if err != nil {
 			return err

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"mindful/internal/cluster/wire"
+	"mindful/internal/drift"
+	"mindful/internal/fault"
+	"mindful/internal/fleet"
 	"mindful/internal/serve/checkpoint"
 )
 
@@ -157,6 +160,56 @@ func TestImportRejectsForgedQAMBits(t *testing.T) {
 	}
 	if n := len(srv.Sessions()); n != 1 {
 		t.Fatalf("%d sessions after rejected import, want the original 1", n)
+	}
+}
+
+// TestImportRejectsForgedStreamSeeds: a transfer whose checkpoint
+// carries a burst-link, brownout or drift RNG seed other than the one
+// the session config derives is rejected at import — it would replay a
+// different fault or drift history under the same config — and the
+// target keeps only its original session.
+func TestImportRejectsForgedStreamSeeds(t *testing.T) {
+	srv := startServer(t, Config{})
+	base := "http://" + srv.ControlAddr()
+	cfg := testSessionConfig()
+	faults := fault.DefaultProfile()
+	cfg.Faults = &faults
+	dp := drift.DefaultProfile()
+	dp.EpochTicks = 8
+	cfg.Drift = &dp
+	info, err := createSession(base, CreateRequest{SessionConfig: cfg, StartPaused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := exportEnvelope(base, info.ID, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, forge := range map[string]func(*fleet.PipelineState){
+		"burst link": func(s *fleet.PipelineState) { s.Link.RNG.Seed++ },
+		"brownout":   func(s *fleet.PipelineState) { s.Brown.RNG.Seed++ },
+		"drift":      func(s *fleet.PipelineState) { s.Drift.RNG.Seed++ },
+	} {
+		cp, err := checkpoint.Decode(env.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.State.Link == nil || cp.State.Brown == nil || cp.State.Drift == nil {
+			t.Fatal("checkpoint lacks a burst-link, brownout or drift stream")
+		}
+		forge(&cp.State)
+		forged := env
+		forged.Blob = checkpoint.Encode(cp)
+		if _, err := importEnvelope(base, forged); err == nil {
+			t.Errorf("%s: checkpoint with a forged RNG seed imported", name)
+		}
+	}
+	if n := len(srv.Sessions()); n != 1 {
+		t.Fatalf("%d sessions after rejected imports, want the original 1", n)
+	}
+	// The unedited transfer still imports.
+	if _, err := importEnvelope(base, env); err != nil {
+		t.Fatalf("unedited checkpoint rejected: %v", err)
 	}
 }
 
