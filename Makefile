@@ -41,7 +41,9 @@ determinism:
 # Native Go fuzzing, ~$(FUZZTIME) per target: the comm frame parser and
 # packing round trips, the tiled FEC encoder and decoder and the packed
 # modem against their bit-level oracles, the burst link against its
-# per-bit walk, and the dsp Delta–Rice codec.
+# per-bit walk, the dsp Delta–Rice codec, and the checkpoint codec's
+# decoder (every format version) and its field walk against the
+# two-sided codec it replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePacket -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzPackSamples -fuzztime $(FUZZTIME) ./internal/comm/
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointV2 -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDriftCheckpointV3 -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzCodecMatchesOracle -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzInstabilityMetric -fuzztime $(FUZZTIME) ./internal/drift/
 	$(GO) test -run '^$$' -fuzz FuzzDecoderStep -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -run '^$$' -fuzz FuzzEventLogDecode -fuzztime $(FUZZTIME) ./internal/obs/
@@ -73,10 +76,14 @@ fault-smoke:
 # extended tick target and assert the continued digest is bit-identical
 # to an uninterrupted run; hold paced sessions to their fixed-rate tick
 # schedule (nominal time, no burst after a pause) — plus the checkpoint
-# determinism wall, all under the race detector.
+# determinism wall, all under the race detector; then the checkpoint
+# codec's v3 golden blob, pinned byte for byte, and its field walk
+# against the two-sided reference codec (single-goroutine code, so
+# without the race detector: ~1 s).
 serve-smoke:
 	$(GO) test -race -run 'TestServeSmoke|TestPauseResumeSnapshot|TestShutdownDrainsSnapshots|TestTickSchedulePace' ./internal/serve/
 	$(GO) test -race -run 'TestCheckpointResume|TestRestoreContinuesBitIdentically' ./internal/fleet/ ./internal/serve/checkpoint/
+	$(GO) test -run 'TestCodecMatchesOracle|TestGoldenV3' ./internal/serve/checkpoint/
 
 # Decode smoke: a tiny fleet run per decoder kind, digest-chained — the
 # frame digest must be byte-identical with and without the decoder, the

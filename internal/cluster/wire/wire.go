@@ -90,7 +90,7 @@ func Encode(e Envelope) ([]byte, error) {
 }
 
 // reader consumes fixed-width fields, remembering the first error so
-// call sites stay linear (the checkpoint codec's pattern).
+// call sites stay linear.
 type reader struct {
 	b   []byte
 	err error

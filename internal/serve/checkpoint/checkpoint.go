@@ -7,9 +7,13 @@
 // Format (all integers big-endian):
 //
 //	magic    [4]byte  "MFCP"
-//	version  uint16   format version (currently 2)
+//	version  uint16   format version (currently 3)
 //	config   fixed-order session configuration
-//	state    fixed-order pipeline state (see encode/decode below)
+//	state    fixed-order pipeline state
+//
+// The config and state layout is written down once, in a single field
+// walk ((*codec).checkpoint) that Encode runs to append each field and
+// Decode runs to read it back, so the two directions cannot drift apart.
 //
 // Version 2 appends the decode-stage sections to the v1 layout: the
 // decoder selection after the fault profile in the config, and the
@@ -23,7 +27,8 @@
 // supervision rings, mutated decoder model) state at the end of the
 // state. The v2 prefix is byte-identical, so v1 and v2 blobs decode
 // under this package with drift and adaptation absent — the committed
-// v1 and v2 golden blobs pin it.
+// v1 and v2 golden blobs pin it, and the v3 golden pins the v3 layout
+// itself.
 //
 // Versioning rules (documented in DESIGN.md): the version is bumped on
 // any field change; decoders reject versions they do not know rather
@@ -31,7 +36,9 @@
 // lifetime during development, never reordered after release. Every
 // length field is bounded, and truncated or trailing bytes are errors —
 // malformed input must never panic or allocate unboundedly (the fuzz
-// targets FuzzCheckpointDecode and FuzzDecodeCheckpointV2 pin this).
+// targets FuzzCheckpointDecode, FuzzDecodeCheckpointV2 and
+// FuzzDriftCheckpointV3 pin this, and FuzzCodecMatchesOracle checks the
+// walk against the two-sided codec it replaced).
 package checkpoint
 
 import (
@@ -58,7 +65,6 @@ var Magic = [4]byte{'M', 'F', 'C', 'P'}
 // format this package still decodes.
 const (
 	Version   uint16 = 3
-	VersionV2 uint16 = 2
 	VersionV1 uint16 = 1
 )
 
@@ -209,602 +215,393 @@ type Checkpoint struct {
 	State  fleet.PipelineState
 }
 
-// writer appends fixed-width fields.
-type writer struct{ b []byte }
-
-func (w *writer) u8(v uint8)    { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16)  { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32)  { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)  { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-func (w *writer) rng(st detrand.State) {
-	w.i64(st.Seed)
-	w.u64(st.Draws)
-}
-
-func (w *writer) f64s(v []float64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.f64(x)
-	}
-}
-
-func (w *writer) bools(v []bool) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.boolean(x)
-	}
-}
-
-// reader consumes fixed-width fields, remembering the first error so
-// call sites stay linear.
-type reader struct {
+// codec walks a checkpoint's fields in format order. Writing (rd false),
+// each helper appends the value it points at to b; reading, b holds the
+// unread input, and each helper consumes its bytes and stores the value,
+// remembering the first error so the walk stays linear — after an error
+// nothing more is stored. v is the format version being written or read.
+type codec struct {
 	b   []byte
+	rd  bool
+	v   uint16
 	err error
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
+// take consumes n input bytes (nil once an error is latched).
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if len(r.b) < n {
-		r.err = ErrTruncated
+	if len(c.b) < n {
+		c.err = ErrTruncated
 		return nil
 	}
-	out := r.b[:n]
-	r.b = r.b[n:]
+	out := c.b[:n]
+	c.b = c.b[n:]
 	return out
 }
 
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+func (c *codec) u8(p *uint8) {
+	if !c.rd {
+		c.b = append(c.b, *p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
 	}
-	return b[0]
 }
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+func (c *codec) u16(p *uint16) {
+	if !c.rd {
+		c.b = binary.BigEndian.AppendUint16(c.b, *p)
+	} else if b := c.take(2); b != nil {
+		*p = binary.BigEndian.Uint16(b)
 	}
-	return binary.BigEndian.Uint16(b)
 }
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+func (c *codec) u32(p *uint32) {
+	if !c.rd {
+		c.b = binary.BigEndian.AppendUint32(c.b, *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.BigEndian.Uint32(b)
 	}
-	return binary.BigEndian.Uint32(b)
 }
 
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+func (c *codec) u64(p *uint64) {
+	if !c.rd {
+		c.b = binary.BigEndian.AppendUint64(c.b, *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.BigEndian.Uint64(b)
 	}
-	return binary.BigEndian.Uint64(b)
 }
 
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-// f64 rejects non-finite values: no pipeline component can snapshot a
-// NaN or Inf (decoders error on non-finite input before it reaches
-// state), so any such bit pattern is a forged blob — and NaN would
-// silently break the decode/encode round-trip invariant (NaN ≠ NaN).
-func (r *reader) f64() float64 {
-	v := math.Float64frombits(r.u64())
-	if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		r.err = ErrNonFinite
-		return 0
+func (c *codec) i64(p *int64) {
+	v := uint64(*p)
+	if c.u64(&v); c.rd {
+		*p = int64(v)
 	}
-	return v
 }
 
-func (r *reader) boolean() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.err = errors.New("checkpoint: non-canonical bool")
+// n8, n32 and n64 carry an int at a fixed wire width (truncating on
+// write, as the format always has).
+func (c *codec) n8(p *int) {
+	v := uint8(*p)
+	if c.u8(&v); c.rd {
+		*p = int(v)
+	}
+}
+
+func (c *codec) n32(p *int) {
+	v := uint32(*p)
+	if c.u32(&v); c.rd {
+		*p = int(v)
+	}
+}
+
+func (c *codec) n64(p *int) {
+	v := uint64(*p)
+	if c.u64(&v); c.rd {
+		*p = int(v)
+	}
+}
+
+// f64 rejects non-finite values on read: no pipeline component can
+// snapshot a NaN or Inf (decoders error on non-finite input before it
+// reaches state), so any such bit pattern is a forged blob — and NaN
+// would silently break the decode/encode round-trip invariant (NaN ≠ NaN).
+func (c *codec) f64(p *float64) {
+	v := math.Float64bits(*p)
+	if c.u64(&v); !c.rd || c.err != nil {
+		return
+	}
+	if f := math.Float64frombits(v); math.IsNaN(f) || math.IsInf(f, 0) {
+		c.err = ErrNonFinite
+	} else {
+		*p = f
+	}
+}
+
+// boolean is one byte, 0 or 1; any other byte is an error on read.
+func (c *codec) boolean(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	if c.u8(&v); !c.rd || c.err != nil {
+		return
+	}
+	if v > 1 {
+		c.err = errors.New("checkpoint: non-canonical bool")
+	} else {
+		*p = v == 1
+	}
+}
+
+func (c *codec) rng(p *detrand.State) {
+	c.i64(&p.Seed)
+	c.u64(&p.Draws)
+}
+
+// i64s carries a fixed run of int64 fields.
+func (c *codec) i64s(ps ...*int64) {
+	for _, p := range ps {
+		c.i64(p)
+	}
+}
+
+// slice carries a u32 length, then each element through elem. Reading
+// bounds the length by maxSliceLen and by the unread bytes (every element
+// is at least one byte) before allocating anything; an empty slice reads
+// back as nil.
+func slice[T any](c *codec, s *[]T, elem func(*codec, *T)) {
+	n := uint32(len(*s))
+	if c.u32(&n); c.rd {
+		switch {
+		case c.err != nil:
+			return
+		case n > maxSliceLen:
+			c.err = ErrLengthBound
+			return
+		case int(n) > len(c.b):
+			c.err = ErrTruncated
+			return
+		case n == 0:
+			return
 		}
-		return false
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
 	}
 }
 
-// length reads a u32 length field bounded by maxSliceLen.
-func (r *reader) length() int {
-	n := r.u32()
-	if r.err == nil && n > maxSliceLen {
-		r.err = ErrLengthBound
-		return 0
+// optional carries a presence flag, then the pointee through walk when
+// it is present. Reading allocates the pointee.
+func optional[T any](c *codec, p **T, walk func(*T)) {
+	present := *p != nil
+	if c.boolean(&present); !present || c.err != nil {
+		return
 	}
-	// A length can never exceed the remaining bytes (every element is at
-	// least one byte) — reject early instead of allocating on faith.
-	if r.err == nil && int(n) > len(r.b) {
-		r.err = ErrTruncated
-		return 0
+	if c.rd {
+		*p = new(T)
 	}
-	return int(n)
+	walk(*p)
 }
 
-func (r *reader) rng() detrand.State {
-	return detrand.State{Seed: r.i64(), Draws: r.u64()}
+// decoderKind carries the decoder selection as its kind byte — the one
+// field whose wire form is not its Go form. Snapshot validates the config,
+// so an unparseable name cannot reach the writer; it is written as none.
+// Reading rejects kinds the blob's version cannot name: v2 predates the
+// fixed-gain decoder.
+func (c *codec) decoderKind(name *string) {
+	kind, _ := fleet.ParseDecoderKind(*name)
+	k := uint8(kind)
+	if c.u8(&k); !c.rd || c.err != nil {
+		return
+	}
+	maxKind := fleet.DecoderDNN
+	if c.v >= 3 {
+		maxKind = fleet.DecoderFixed
+	}
+	if kind = fleet.DecoderKind(k); kind > maxKind {
+		c.err = fmt.Errorf("checkpoint: unknown decoder kind %d", int(kind))
+	} else if kind != fleet.DecoderNone {
+		*name = kind.String()
+	}
 }
 
-func (r *reader) f64s() []float64 {
-	n := r.length()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-	}
-	return out
-}
-
-func (r *reader) bools() []bool {
-	n := r.length()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.boolean()
-	}
-	return out
-}
-
-// Encode serializes the checkpoint.
-func Encode(cp Checkpoint) []byte {
-	w := &writer{b: make([]byte, 0, 512)}
-	w.b = append(w.b, Magic[:]...)
-	w.u16(Version)
-
+// checkpoint walks every field of cp once, in format order: the layout
+// of the blob after its magic and version. A field is added here, and
+// only here, behind the version gate of the format that introduced it.
+func (c *codec) checkpoint(cp *Checkpoint) {
 	// Session configuration.
-	c := cp.Config
-	w.u32(uint32(c.Channels))
-	w.f64(c.SampleRateHz)
-	w.u8(uint8(c.SampleBits))
-	w.u8(uint8(c.QAMBits))
-	w.f64(c.EbN0dB)
-	w.i64(c.Seed)
-	w.u64(uint64(c.Ticks))
-	w.u32(uint32(c.ARQMaxRetries))
-	w.i64(int64(c.ARQSlotTime))
-	w.i64(int64(c.ARQLatencyBudget))
-	w.u32(uint32(c.FECDepth))
-	w.u8(uint8(c.Concealment))
-	w.boolean(c.Faults != nil)
-	if c.Faults != nil {
-		p := c.Faults
-		w.f64(p.BurstPGB)
-		w.f64(p.BurstPBG)
-		w.f64(p.BERGood)
-		w.f64(p.BERBad)
-		w.f64(p.FrameLoss)
-		w.f64(p.DeadFrac)
-		w.f64(p.StuckFrac)
-		w.f64(p.DriftFrac)
-		w.f64(p.DriftRate)
-		w.f64(p.BrownoutProb)
-		w.u32(uint32(p.BrownoutTicks))
+	cfg := &cp.Config
+	c.n32(&cfg.Channels)
+	c.f64(&cfg.SampleRateHz)
+	c.n8(&cfg.SampleBits)
+	c.n8(&cfg.QAMBits)
+	c.f64(&cfg.EbN0dB)
+	c.i64(&cfg.Seed)
+	c.n64(&cfg.Ticks)
+	c.n32(&cfg.ARQMaxRetries)
+	c.i64((*int64)(&cfg.ARQSlotTime))
+	c.i64((*int64)(&cfg.ARQLatencyBudget))
+	c.n32(&cfg.FECDepth)
+	c.n8(&cfg.Concealment)
+	optional(c, &cfg.Faults, func(p *fault.Profile) {
+		c.f64(&p.BurstPGB)
+		c.f64(&p.BurstPBG)
+		c.f64(&p.BERGood)
+		c.f64(&p.BERBad)
+		c.f64(&p.FrameLoss)
+		c.f64(&p.DeadFrac)
+		c.f64(&p.StuckFrac)
+		c.f64(&p.DriftFrac)
+		c.f64(&p.DriftRate)
+		c.f64(&p.BrownoutProb)
+		c.n32(&p.BrownoutTicks)
+	})
+	// Decoder selection (v2).
+	if c.v >= 2 {
+		c.decoderKind(&cfg.Decoder)
+		c.n32(&cfg.DecodeBin)
+		c.n32(&cfg.DecodeLags)
+		c.n32(&cfg.DecodeHidden)
 	}
-	// Decoder selection (v2). Snapshot validates the config, so an
-	// unparseable decoder name cannot reach here; encode it as none.
-	dec, _ := c.decodeConfig()
-	w.u8(uint8(dec.Kind))
-	w.u32(uint32(c.DecodeBin))
-	w.u32(uint32(c.DecodeLags))
-	w.u32(uint32(c.DecodeHidden))
 	// Nonstationarity and adaptive-decoding config (v3).
-	w.boolean(c.Drift != nil)
-	if p := c.Drift; p != nil {
-		w.f64(p.RotationSigma)
-		w.f64(p.GainSigma)
-		w.f64(p.BaselineSigma)
-		w.f64(p.TurnoverProb)
-		w.f64(p.LossProb)
-		w.u32(uint32(p.EpochTicks))
+	if c.v >= 3 {
+		optional(c, &cfg.Drift, func(p *drift.Profile) {
+			c.f64(&p.RotationSigma)
+			c.f64(&p.GainSigma)
+			c.f64(&p.BaselineSigma)
+			c.f64(&p.TurnoverProb)
+			c.f64(&p.LossProb)
+			c.n32(&p.EpochTicks)
+		})
+		c.boolean(&cfg.Calibrate)
+		c.boolean(&cfg.Track)
+		c.boolean(&cfg.Adapt)
+		c.n32(&cfg.RefitEvery)
+		c.n32(&cfg.RefitBuffer)
+		c.f64(&cfg.RefitBlend)
+		c.f64(&cfg.RefitJitter)
+		c.n32(&cfg.MeterRef)
+		c.n32(&cfg.MeterWin)
 	}
-	w.boolean(c.Calibrate)
-	w.boolean(c.Track)
-	w.boolean(c.Adapt)
-	w.u32(uint32(c.RefitEvery))
-	w.u32(uint32(c.RefitBuffer))
-	w.f64(c.RefitBlend)
-	w.f64(c.RefitJitter)
-	w.u32(uint32(c.MeterRef))
-	w.u32(uint32(c.MeterWin))
 
 	// Pipeline state.
-	st := cp.State
-	w.u64(uint64(st.Tick))
-	res := st.Counters
-	w.u32(uint32(res.Index))
-	w.u32(uint32(res.Worker))
-	for _, v := range []int64{
-		res.Frames, res.Accepted, res.Corrupt, res.LostSeq,
-		res.BitsSent, res.BitErrors, res.Blanked, res.LinkDropped,
-		res.Retransmits, res.Recovered, res.ARQFailed, res.RetransmitBits,
-		res.FECCorrected, res.Stale, res.Concealed, res.ConcealedSamples,
-		res.DataBits, res.DataBitErrors,
-	} {
-		w.i64(v)
-	}
-	w.u32(uint32(res.FaultyChannels))
-	w.u64(res.Digest)
-
-	w.rng(st.Gen.RNG)
-	w.u32(uint32(len(st.Gen.Pending)))
-	for _, v := range st.Gen.Pending {
-		w.f64(v)
-	}
-	w.u32(uint32(len(st.Gen.PendHead)))
-	for _, v := range st.Gen.PendHead {
-		w.u32(uint32(v))
-	}
-	w.f64(st.Gen.Intent[0])
-	w.f64(st.Gen.Intent[1])
-	w.f64(st.Gen.LFPY1)
-	w.f64(st.Gen.LFPY2)
-	w.u64(uint64(st.Gen.T))
-
-	w.rng(st.Channel.RNG)
-	w.u32(st.PktSeq)
-
-	w.boolean(st.Rx.Started)
-	w.u32(st.Rx.NextSeq)
-	rs := st.Rx.Stats
-	for _, v := range []int64{rs.Accepted, rs.Corrupted, rs.LostSeq, rs.Stale, rs.Concealed, rs.ConcealedSamples} {
-		w.i64(v)
-	}
-	w.u32(uint32(len(st.Rx.LastSamples)))
-	for _, v := range st.Rx.LastSamples {
-		w.u16(v)
-	}
-
-	a := st.ARQ
-	for _, v := range []int64{a.Sent, a.Delivered, a.Failed, a.Recovered, a.Retransmits, a.RetransmitBits, a.NACKs} {
-		w.i64(v)
-	}
-	w.i64(st.FECCorrected)
-
-	w.boolean(st.Link != nil)
-	if st.Link != nil {
-		w.rng(st.Link.RNG)
-		w.boolean(st.Link.Bad)
-		ls := st.Link.Stats
-		for _, v := range []int64{ls.Frames, ls.DroppedFrames, ls.BitFlips, ls.BadBits} {
-			w.i64(v)
-		}
-	}
-	w.boolean(st.Brown != nil)
-	if st.Brown != nil {
-		w.rng(st.Brown.RNG)
-		w.u32(uint32(st.Brown.Remaining))
-		w.i64(st.Brown.Events)
-		w.i64(st.Brown.Blanked)
-	}
-	w.u32(uint32(len(st.ElecGains)))
-	for _, v := range st.ElecGains {
-		w.f64(v)
-	}
-
-	// Decode-stage state (v2).
-	w.boolean(st.Decode != nil)
-	if d := st.Decode; d != nil {
-		w.f64s(d.BinSums)
-		w.u32(uint32(d.BinCount))
-		w.u32(uint32(d.BinConcealed))
-		w.i64(d.Steps)
-		w.i64(d.ConcealedBins)
-		w.i64(d.MACs)
-		w.u64(d.Digest)
-		w.f64s(d.KalmanX)
-		w.f64s(d.KalmanP)
-		w.f64s(d.WienerLag)
-	}
-
-	// Drift-process and adapt-stage state (v3).
-	w.boolean(st.Drift != nil)
-	if d := st.Drift; d != nil {
-		w.rng(d.RNG)
-		w.u64(uint64(d.Tick))
-		w.f64s(d.Theta)
-		w.f64s(d.RateScale)
-		w.f64s(d.AmpGain)
-		w.bools(d.Alive)
-		w.i64(d.Epochs)
-		w.i64(d.Turnovers)
-		w.i64(d.Lost)
-	}
-	w.boolean(st.Adapt != nil)
-	if a := st.Adapt; a != nil {
-		m := a.Meter
-		w.f64s(m.RefSum)
-		w.f64s(m.RefSqSum)
-		w.u32(uint32(m.RefCount))
-		w.f64s(m.Ring)
-		w.u32(uint32(m.RingHead))
-		w.u32(uint32(m.RingFill))
-		w.boolean(a.Recal != nil)
-		if rc := a.Recal; rc != nil {
-			w.f64s(rc.Obs)
-			w.f64s(rc.Intent)
-			w.u32(uint32(rc.Count))
-			w.u32(uint32(rc.Head))
-			w.u32(uint32(rc.SinceRefit))
-			w.i64(rc.Refits)
-		}
-		w.boolean(a.Model != nil)
-		if ms := a.Model; ms != nil {
-			w.f64s(ms.H)
-			w.f64s(ms.Q)
-			w.f64s(ms.W)
-			w.f64s(ms.K)
-		}
-		w.rng(a.RNG)
-		w.f64(a.SqErr)
-		w.i64(a.ErrBins)
-		w.f64(a.LastKL)
-		w.boolean(a.KLValid)
-	}
-	return w.b
-}
-
-// Decode parses a checkpoint blob. Malformed input returns an error —
-// never a panic, never an unbounded allocation.
-func Decode(buf []byte) (Checkpoint, error) {
-	var cp Checkpoint
-	r := &reader{b: buf}
-	if m := r.take(4); r.err != nil || [4]byte(m) != Magic {
-		if r.err == nil {
-			r.err = ErrBadMagic
-		}
-		return cp, r.err
-	}
-	v := r.u16()
-	if r.err == nil && (v < VersionV1 || v > Version) {
-		r.err = fmt.Errorf("%w: %d (this build supports %d..%d)", ErrBadVersion, v, VersionV1, Version)
-	}
-	if r.err != nil {
-		return cp, r.err
-	}
-
-	c := &cp.Config
-	c.Channels = int(r.u32())
-	c.SampleRateHz = r.f64()
-	c.SampleBits = int(r.u8())
-	c.QAMBits = int(r.u8())
-	c.EbN0dB = r.f64()
-	c.Seed = r.i64()
-	c.Ticks = int(r.u64())
-	c.ARQMaxRetries = int(r.u32())
-	c.ARQSlotTime = time.Duration(r.i64())
-	c.ARQLatencyBudget = time.Duration(r.i64())
-	c.FECDepth = int(r.u32())
-	c.Concealment = int(r.u8())
-	if r.boolean() {
-		var p fault.Profile
-		p.BurstPGB = r.f64()
-		p.BurstPBG = r.f64()
-		p.BERGood = r.f64()
-		p.BERBad = r.f64()
-		p.FrameLoss = r.f64()
-		p.DeadFrac = r.f64()
-		p.StuckFrac = r.f64()
-		p.DriftFrac = r.f64()
-		p.DriftRate = r.f64()
-		p.BrownoutProb = r.f64()
-		p.BrownoutTicks = int(r.u32())
-		c.Faults = &p
-	}
-	if v >= 2 {
-		// v2 predates the fixed-gain decoder, so its blobs cannot name it.
-		maxKind := fleet.DecoderDNN
-		if v >= 3 {
-			maxKind = fleet.DecoderFixed
-		}
-		kind := fleet.DecoderKind(r.u8())
-		if r.err == nil && (kind < fleet.DecoderNone || kind > maxKind) {
-			r.err = fmt.Errorf("checkpoint: unknown decoder kind %d", int(kind))
-			return cp, r.err
-		}
-		if kind != fleet.DecoderNone {
-			c.Decoder = kind.String()
-		}
-		c.DecodeBin = int(r.u32())
-		c.DecodeLags = int(r.u32())
-		c.DecodeHidden = int(r.u32())
-	}
-	if v >= 3 {
-		if r.boolean() {
-			var p drift.Profile
-			p.RotationSigma = r.f64()
-			p.GainSigma = r.f64()
-			p.BaselineSigma = r.f64()
-			p.TurnoverProb = r.f64()
-			p.LossProb = r.f64()
-			p.EpochTicks = int(r.u32())
-			c.Drift = &p
-		}
-		c.Calibrate = r.boolean()
-		c.Track = r.boolean()
-		c.Adapt = r.boolean()
-		c.RefitEvery = int(r.u32())
-		c.RefitBuffer = int(r.u32())
-		c.RefitBlend = r.f64()
-		c.RefitJitter = r.f64()
-		c.MeterRef = int(r.u32())
-		c.MeterWin = int(r.u32())
-	}
-
 	st := &cp.State
-	st.Tick = int(r.u64())
+	c.n64(&st.Tick)
 	res := &st.Counters
-	res.Index = int(r.u32())
-	res.Worker = int(r.u32())
-	for _, dst := range []*int64{
+	c.n32(&res.Index)
+	c.n32(&res.Worker)
+	c.i64s(
 		&res.Frames, &res.Accepted, &res.Corrupt, &res.LostSeq,
 		&res.BitsSent, &res.BitErrors, &res.Blanked, &res.LinkDropped,
 		&res.Retransmits, &res.Recovered, &res.ARQFailed, &res.RetransmitBits,
 		&res.FECCorrected, &res.Stale, &res.Concealed, &res.ConcealedSamples,
 		&res.DataBits, &res.DataBitErrors,
-	} {
-		*dst = r.i64()
-	}
-	res.FaultyChannels = int(r.u32())
-	res.Digest = r.u64()
+	)
+	c.n32(&res.FaultyChannels)
+	c.u64(&res.Digest)
 
-	st.Gen.RNG = r.rng()
-	if n := r.length(); r.err == nil && n > 0 {
-		st.Gen.Pending = make([]float64, n)
-		for i := range st.Gen.Pending {
-			st.Gen.Pending[i] = r.f64()
-		}
-	}
-	if n := r.length(); r.err == nil && n > 0 {
-		st.Gen.PendHead = make([]int, n)
-		for i := range st.Gen.PendHead {
-			st.Gen.PendHead[i] = int(r.u32())
-		}
-	}
-	st.Gen.Intent[0] = r.f64()
-	st.Gen.Intent[1] = r.f64()
-	st.Gen.LFPY1 = r.f64()
-	st.Gen.LFPY2 = r.f64()
-	st.Gen.T = int(r.u64())
+	gen := &st.Gen
+	c.rng(&gen.RNG)
+	slice(c, &gen.Pending, (*codec).f64)
+	slice(c, &gen.PendHead, (*codec).n32)
+	c.f64(&gen.Intent[0])
+	c.f64(&gen.Intent[1])
+	c.f64(&gen.LFPY1)
+	c.f64(&gen.LFPY2)
+	c.n64(&gen.T)
 
-	st.Channel.RNG = r.rng()
-	st.PktSeq = r.u32()
+	c.rng(&st.Channel.RNG)
+	c.u32(&st.PktSeq)
 
-	st.Rx.Started = r.boolean()
-	st.Rx.NextSeq = r.u32()
+	c.boolean(&st.Rx.Started)
+	c.u32(&st.Rx.NextSeq)
 	rs := &st.Rx.Stats
-	for _, dst := range []*int64{&rs.Accepted, &rs.Corrupted, &rs.LostSeq, &rs.Stale, &rs.Concealed, &rs.ConcealedSamples} {
-		*dst = r.i64()
-	}
-	if n := r.length(); r.err == nil && n > 0 {
-		st.Rx.LastSamples = make([]uint16, n)
-		for i := range st.Rx.LastSamples {
-			st.Rx.LastSamples[i] = r.u16()
-		}
-	}
+	c.i64s(&rs.Accepted, &rs.Corrupted, &rs.LostSeq, &rs.Stale, &rs.Concealed, &rs.ConcealedSamples)
+	slice(c, &st.Rx.LastSamples, (*codec).u16)
 
 	a := &st.ARQ
-	for _, dst := range []*int64{&a.Sent, &a.Delivered, &a.Failed, &a.Recovered, &a.Retransmits, &a.RetransmitBits, &a.NACKs} {
-		*dst = r.i64()
-	}
-	st.FECCorrected = r.i64()
+	c.i64s(&a.Sent, &a.Delivered, &a.Failed, &a.Recovered, &a.Retransmits, &a.RetransmitBits, &a.NACKs)
+	c.i64(&st.FECCorrected)
 
-	if r.boolean() {
-		var ls fault.BurstLinkState
-		ls.RNG = r.rng()
-		ls.Bad = r.boolean()
-		for _, dst := range []*int64{&ls.Stats.Frames, &ls.Stats.DroppedFrames, &ls.Stats.BitFlips, &ls.Stats.BadBits} {
-			*dst = r.i64()
-		}
-		st.Link = &ls
-	}
-	if r.boolean() {
-		var bs fault.BrownoutState
-		bs.RNG = r.rng()
-		bs.Remaining = int(r.u32())
-		bs.Events = r.i64()
-		bs.Blanked = r.i64()
-		st.Brown = &bs
-	}
-	if n := r.length(); r.err == nil && n > 0 {
-		st.ElecGains = make([]float64, n)
-		for i := range st.ElecGains {
-			st.ElecGains[i] = r.f64()
-		}
-	}
+	optional(c, &st.Link, func(ls *fault.BurstLinkState) {
+		c.rng(&ls.RNG)
+		c.boolean(&ls.Bad)
+		c.i64s(&ls.Stats.Frames, &ls.Stats.DroppedFrames, &ls.Stats.BitFlips, &ls.Stats.BadBits)
+	})
+	optional(c, &st.Brown, func(bs *fault.BrownoutState) {
+		c.rng(&bs.RNG)
+		c.n32(&bs.Remaining)
+		c.i64(&bs.Events)
+		c.i64(&bs.Blanked)
+	})
+	slice(c, &st.ElecGains, (*codec).f64)
 
-	if v >= 2 && r.boolean() {
-		var d fleet.DecodeState
-		d.BinSums = r.f64s()
-		d.BinCount = int(r.u32())
-		d.BinConcealed = int(r.u32())
-		d.Steps = r.i64()
-		d.ConcealedBins = r.i64()
-		d.MACs = r.i64()
-		d.Digest = r.u64()
-		d.KalmanX = r.f64s()
-		d.KalmanP = r.f64s()
-		d.WienerLag = r.f64s()
-		st.Decode = &d
+	// Decode-stage state (v2).
+	if c.v >= 2 {
+		optional(c, &st.Decode, func(d *fleet.DecodeState) {
+			slice(c, &d.BinSums, (*codec).f64)
+			c.n32(&d.BinCount)
+			c.n32(&d.BinConcealed)
+			c.i64s(&d.Steps, &d.ConcealedBins, &d.MACs)
+			c.u64(&d.Digest)
+			slice(c, &d.KalmanX, (*codec).f64)
+			slice(c, &d.KalmanP, (*codec).f64)
+			slice(c, &d.WienerLag, (*codec).f64)
+		})
 	}
 
-	if v >= 3 {
-		if r.boolean() {
-			var d drift.ProcessState
-			d.RNG = r.rng()
-			d.Tick = int(r.u64())
-			d.Theta = r.f64s()
-			d.RateScale = r.f64s()
-			d.AmpGain = r.f64s()
-			d.Alive = r.bools()
-			d.Epochs = r.i64()
-			d.Turnovers = r.i64()
-			d.Lost = r.i64()
-			st.Drift = &d
-		}
-		if r.boolean() {
-			var a fleet.AdaptState
-			a.Meter.RefSum = r.f64s()
-			a.Meter.RefSqSum = r.f64s()
-			a.Meter.RefCount = int(r.u32())
-			a.Meter.Ring = r.f64s()
-			a.Meter.RingHead = int(r.u32())
-			a.Meter.RingFill = int(r.u32())
-			if r.boolean() {
-				var rc decode.RecalState
-				rc.Obs = r.f64s()
-				rc.Intent = r.f64s()
-				rc.Count = int(r.u32())
-				rc.Head = int(r.u32())
-				rc.SinceRefit = int(r.u32())
-				rc.Refits = r.i64()
-				a.Recal = &rc
-			}
-			if r.boolean() {
-				var ms decode.ModelState
-				ms.H = r.f64s()
-				ms.Q = r.f64s()
-				ms.W = r.f64s()
-				ms.K = r.f64s()
-				a.Model = &ms
-			}
-			a.RNG = r.rng()
-			a.SqErr = r.f64()
-			a.ErrBins = r.i64()
-			a.LastKL = r.f64()
-			a.KLValid = r.boolean()
-			st.Adapt = &a
-		}
+	// Drift-process and adapt-stage state (v3).
+	if c.v >= 3 {
+		optional(c, &st.Drift, func(d *drift.ProcessState) {
+			c.rng(&d.RNG)
+			c.n64(&d.Tick)
+			slice(c, &d.Theta, (*codec).f64)
+			slice(c, &d.RateScale, (*codec).f64)
+			slice(c, &d.AmpGain, (*codec).f64)
+			slice(c, &d.Alive, (*codec).boolean)
+			c.i64s(&d.Epochs, &d.Turnovers, &d.Lost)
+		})
+		optional(c, &st.Adapt, func(a *fleet.AdaptState) {
+			m := &a.Meter
+			slice(c, &m.RefSum, (*codec).f64)
+			slice(c, &m.RefSqSum, (*codec).f64)
+			c.n32(&m.RefCount)
+			slice(c, &m.Ring, (*codec).f64)
+			c.n32(&m.RingHead)
+			c.n32(&m.RingFill)
+			optional(c, &a.Recal, func(rc *decode.RecalState) {
+				slice(c, &rc.Obs, (*codec).f64)
+				slice(c, &rc.Intent, (*codec).f64)
+				c.n32(&rc.Count)
+				c.n32(&rc.Head)
+				c.n32(&rc.SinceRefit)
+				c.i64(&rc.Refits)
+			})
+			optional(c, &a.Model, func(ms *decode.ModelState) {
+				slice(c, &ms.H, (*codec).f64)
+				slice(c, &ms.Q, (*codec).f64)
+				slice(c, &ms.W, (*codec).f64)
+				slice(c, &ms.K, (*codec).f64)
+			})
+			c.rng(&a.RNG)
+			c.f64(&a.SqErr)
+			c.i64(&a.ErrBins)
+			c.f64(&a.LastKL)
+			c.boolean(&a.KLValid)
+		})
 	}
+}
 
-	if r.err != nil {
-		return Checkpoint{}, r.err
+// Encode serializes the checkpoint.
+func Encode(cp Checkpoint) []byte {
+	c := &codec{b: make([]byte, 0, 512), v: Version}
+	c.b = append(c.b, Magic[:]...)
+	c.u16(&c.v)
+	c.checkpoint(&cp)
+	return c.b
+}
+
+// Decode parses a checkpoint blob. Malformed input returns an error and
+// the zero Checkpoint — never a panic, never an unbounded allocation.
+func Decode(buf []byte) (Checkpoint, error) {
+	c := &codec{b: buf, rd: true}
+	if m := c.take(4); c.err == nil && [4]byte(m) != Magic {
+		c.err = ErrBadMagic
 	}
-	if len(r.b) != 0 {
+	if c.u16(&c.v); c.err == nil && (c.v < VersionV1 || c.v > Version) {
+		c.err = fmt.Errorf("%w: %d (this build supports %d..%d)", ErrBadVersion, c.v, VersionV1, Version)
+	}
+	if c.err != nil {
+		return Checkpoint{}, c.err
+	}
+	var cp Checkpoint
+	if c.checkpoint(&cp); c.err != nil {
+		return Checkpoint{}, c.err
+	}
+	if len(c.b) != 0 {
 		return Checkpoint{}, ErrTrailing
 	}
 	return cp, nil

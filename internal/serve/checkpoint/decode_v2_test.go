@@ -100,7 +100,8 @@ func TestRejectsUnknownDecoderName(t *testing.T) {
 }
 
 // TestRejectsUnknownDecoderKindByte: a v2 blob whose decoder-kind byte
-// is out of range must be rejected with a clear error.
+// is out of range must be rejected with a clear error and, like every
+// other rejection, the zero Checkpoint.
 func TestRejectsUnknownDecoderKindByte(t *testing.T) {
 	cfg := decoderConfigs()["kalman"]
 	blob := snapshotAfter(t, cfg, 4)
@@ -125,7 +126,11 @@ func TestRejectsUnknownDecoderKindByte(t *testing.T) {
 	}
 	bad := append([]byte(nil), blob...)
 	bad[diff] = 0xEE
-	if _, err := Decode(bad); err == nil {
+	got, err := Decode(bad)
+	if err == nil {
 		t.Fatal("out-of-range decoder kind accepted")
+	}
+	if !reflect.DeepEqual(got, Checkpoint{}) {
+		t.Fatalf("rejected blob returned a partly decoded checkpoint: %+v", got.Config)
 	}
 }

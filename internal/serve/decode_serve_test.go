@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 
@@ -16,6 +18,19 @@ func decodeSessionConfig(dec string) checkpoint.SessionConfig {
 	cfg.Decoder = dec
 	cfg.DecodeBin = 3
 	return cfg
+}
+
+// decodeEstimates unpacks the payload of a RecordFlagDecoded record into
+// the decoder's state estimate.
+func decodeEstimates(data []byte) ([]float64, error) {
+	if len(data)%8 != 0 {
+		return nil, fmt.Errorf("serve: decoded payload length %d is not a multiple of 8", len(data))
+	}
+	out := make([]float64, len(data)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
+	}
+	return out, nil
 }
 
 // resultAfter runs the session config uninterrupted for n ticks
@@ -54,12 +69,12 @@ func TestDecodedStreamEndToEnd(t *testing.T) {
 		t.Fatalf("created session decoder %q, want kalman", info.Decoder)
 	}
 
-	decConn, decBr, err := SubscribeDecoded(srv.StreamAddr(), info.ID)
+	decConn, decBr, err := subscribe(srv.StreamAddr(), info.ID, "decoded")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer decConn.Close()
-	frConn, frBr, err := Subscribe(srv.StreamAddr(), info.ID)
+	frConn, frBr, err := subscribe(srv.StreamAddr(), info.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +101,7 @@ func TestDecodedStreamEndToEnd(t *testing.T) {
 			t.Fatalf("decoded tick went backwards: %d after %d", rec.Tick, lastTick)
 		}
 		lastTick = int(rec.Tick)
-		est, err := DecodeEstimates(rec.Data)
+		est, err := decodeEstimates(rec.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +151,7 @@ func TestDecodedSubscribeRejectedWithoutDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SubscribeDecoded(srv.StreamAddr(), info.ID); err == nil {
+	if _, _, err := subscribe(srv.StreamAddr(), info.ID, "decoded"); err == nil {
 		t.Fatal("decoded subscription accepted on a session without a decoder")
 	}
 }

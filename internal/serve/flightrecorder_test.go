@@ -73,7 +73,7 @@ func TestSessionStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, br, err := Subscribe(srv.StreamAddr(), info.ID)
+	conn, br, err := subscribe(srv.StreamAddr(), info.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSessionStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn2, _, err := Subscribe(srv.StreamAddr(), info2.ID)
+	conn2, _, err := subscribe(srv.StreamAddr(), info2.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStatsDeliveryLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, br, err := Subscribe(srv.StreamAddr(), info.ID)
+	conn, br, err := subscribe(srv.StreamAddr(), info.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,7 +282,7 @@ func TestSubscribeMoved(t *testing.T) {
 	}})
 
 	// Direct subscribe reports the move.
-	_, _, err = Subscribe(front.StreamAddr(), "cluster-1")
+	_, _, err = subscribe(front.StreamAddr(), "cluster-1", "")
 	var moved *MovedError
 	if !errors.As(err, &moved) {
 		t.Fatalf("subscribe err = %v, want MovedError", err)
@@ -291,7 +291,7 @@ func TestSubscribeMoved(t *testing.T) {
 		t.Fatalf("moved to %s/%s, want %s/%s", moved.Addr, moved.ID, target.StreamAddr(), hosted.ID)
 	}
 	// Unknown IDs still error.
-	if _, _, err := Subscribe(front.StreamAddr(), "nope"); err == nil || errors.As(err, &moved) {
+	if _, _, err := subscribe(front.StreamAddr(), "nope", ""); err == nil || errors.As(err, &moved) {
 		t.Fatalf("unknown session err = %v, want plain rejection", err)
 	}
 
@@ -338,7 +338,7 @@ func TestKillIsAbrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, br, err := Subscribe(srv.StreamAddr(), info.ID)
+	conn, br, err := subscribe(srv.StreamAddr(), info.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}

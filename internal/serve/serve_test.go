@@ -154,7 +154,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("created state %s, want paused", info.State)
 	}
 
-	conn, br, err := Subscribe(srv.StreamAddr(), info.ID)
+	conn, br, err := subscribe(srv.StreamAddr(), info.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}

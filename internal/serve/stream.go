@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strings"
 	"sync"
@@ -328,20 +327,6 @@ func ReadRecord(r io.Reader) (Record, error) {
 	}, nil
 }
 
-// Subscribe opens a data-plane connection to addr and subscribes to the
-// session's frame stream, returning the connection and a buffered
-// reader positioned at the first record.
-func Subscribe(addr, sessionID string) (net.Conn, *bufio.Reader, error) {
-	return subscribe(addr, sessionID, "")
-}
-
-// SubscribeDecoded subscribes to the session's decoded-kinematics
-// stream; the server rejects the subscription when the session was
-// created without a decoder.
-func SubscribeDecoded(addr, sessionID string) (net.Conn, *bufio.Reader, error) {
-	return subscribe(addr, sessionID, "decoded")
-}
-
 // MovedError reports a subscription redirect: the session lives on
 // another gateway. Re-dial Addr and subscribe to ID there.
 type MovedError struct {
@@ -383,10 +368,12 @@ func subscribe(addr, sessionID, mode string) (net.Conn, *bufio.Reader, error) {
 	return conn, br, nil
 }
 
-// SubscribeFollow subscribes like Subscribe but follows MOVED redirects
-// (at most maxHops of them) — the way to reach a session through the
-// cluster front tier, which always answers with the owning shard. mode
-// is "" (frames) or "decoded".
+// SubscribeFollow opens a data-plane connection to addr, subscribes to
+// the session's stream and returns the connection with a buffered reader
+// positioned at the first record, following MOVED redirects (at most
+// maxHops of them) — the way to reach a session through the cluster
+// front tier, which always answers with the owning shard. mode is ""
+// (frames) or "decoded" (rejected when the session has no decoder).
 func SubscribeFollow(addr, sessionID, mode string, maxHops int) (net.Conn, *bufio.Reader, error) {
 	for hop := 0; ; hop++ {
 		conn, br, err := subscribe(addr, sessionID, mode)
@@ -400,17 +387,4 @@ func SubscribeFollow(addr, sessionID, mode string, maxHops int) (net.Conn, *bufi
 		}
 		return conn, br, err
 	}
-}
-
-// DecodeEstimates unpacks the payload of a RecordFlagDecoded record into
-// the decoder's state estimate.
-func DecodeEstimates(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("serve: decoded payload length %d is not a multiple of 8", len(data))
-	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
-	}
-	return out, nil
 }
