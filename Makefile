@@ -41,9 +41,10 @@ determinism:
 # Native Go fuzzing, ~$(FUZZTIME) per target: the comm frame parser and
 # packing round trips, the tiled FEC encoder and decoder and the packed
 # modem against their bit-level oracles, the burst link against its
-# per-bit walk, the dsp Delta–Rice codec, and the checkpoint codec's
-# decoder (every format version) and its field walk against the
-# two-sided codec it replaced.
+# per-bit walk, the detrand samplers (arbitrary seed and sampler script,
+# restores mid-script) against math/rand, the dsp Delta–Rice codec, and
+# the checkpoint codec's decoder (every format version) and its field
+# walk against the two-sided codec it replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePacket -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzPackSamples -fuzztime $(FUZZTIME) ./internal/comm/
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPackedModem -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzARQReorder -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzBurstLink -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzSequenceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/detrand/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceDecode -fuzztime $(FUZZTIME) ./internal/dsp/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRiceRoundTrip -fuzztime $(FUZZTIME) ./internal/dsp/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/serve/checkpoint/
@@ -160,8 +162,9 @@ drift-smoke:
 # Fast-kernel smoke: the bit-identity foundations (packed-modem decision
 # thresholds at every boundary ±1 ulp, each fast kernel against its
 # reference oracle, the tiled FEC codec and the bulk-drawn burst link
-# against their bit-level oracles, the generator and the bulk normal and
-# uniform samplers draw-for-draw against math/rand),
+# against their bit-level oracles, the generator and every detrand
+# sampler, per-call and bulk, draw-for-draw against math/rand, and no
+# non-test file importing math/rand),
 # the transport stage against its bit-per-byte oracle on the whole
 # transport grid, the determinism wall (batch × workers × scenario
 # digests equal the recorded pins, under the race detector), the
@@ -169,7 +172,8 @@ drift-smoke:
 # modem floor, and the worker scaling baseline (BENCH_fleet.json).
 batch-smoke:
 	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|TestFECPackedMatchesOracle|FastIdentical|TestPackedModemSpeedupFloor' ./internal/comm/
-	$(GO) test -run 'TestSequenceMatchesMathRand|TestFillNormBitIdentical|TestFillFloat64BitIdentical|TestFloat64RedrawsOne' ./internal/detrand/
+	$(GO) test -run 'TestSequenceMatchesMathRand|TestSamplersBitIdentical|TestSamplersCountDraws|TestFillNormBitIdentical|TestFillFloat64BitIdentical|TestFloat64RedrawsOne' ./internal/detrand/
+	$(GO) test -run 'TestNoMathRandOutsideTests' .
 	$(GO) test -run 'TestBurstLinkMatchesOracle|TestAppendTransportZeroAlloc' ./internal/fault/
 	$(GO) test -run 'FastIdentical' ./internal/neural/
 	$(GO) test -run 'TestTransportMatchesOracle' ./internal/fleet/

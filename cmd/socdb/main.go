@@ -1,12 +1,12 @@
 // Command socdb queries the Table 1 design database: list the designs,
 // inspect one, or scale it to an arbitrary channel count under the
-// Section 4 rules.
+// Section 4 rules (CHANNELS is positional and defaults to 4096).
 //
 // Usage:
 //
 //	socdb list
 //	socdb show <num>
-//	socdb scale <num> [-n CHANNELS]
+//	socdb scale <num> [CHANNELS]
 package main
 
 import (

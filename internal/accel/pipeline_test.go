@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mindful/internal/detrand"
 	"mindful/internal/dnnmodel"
 	"mindful/internal/mac"
 	"mindful/internal/nn"
@@ -123,7 +124,7 @@ func TestPipelineValidation(t *testing.T) {
 		t.Errorf("zero allocation should fail validation")
 	}
 	// Conv layers are rejected.
-	rng := rand.New(rand.NewSource(2))
+	rng := detrand.New(2)
 	convNet, err := nn.NewNetwork(4, 16, nn.RandConv1D(rng, 4, 2, 3, 1, nn.ReLU))
 	if err != nil {
 		t.Fatal(err)

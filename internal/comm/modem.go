@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mindful/internal/detrand"
 )
@@ -317,32 +316,4 @@ func (c *AWGNChannel) TransmitInPlace(syms []Symbol) {
 		}
 		syms = syms[n:]
 	}
-}
-
-// MeasureBER runs nbits random bits through the modem and an AWGN channel
-// at the given Eb/N0 and returns the measured bit error rate.
-func MeasureBER(m Modem, ebN0 float64, nbits int, seed int64) (float64, error) {
-	per := m.BitsPerSymbol()
-	nbits -= nbits % per
-	if nbits <= 0 {
-		return 0, fmt.Errorf("comm: need at least %d bits", per)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bits := make([]byte, nbits)
-	for i := range bits {
-		bits[i] = byte(rng.Intn(2))
-	}
-	syms, err := m.Modulate(bits)
-	if err != nil {
-		return 0, err
-	}
-	ch := NewAWGNChannel(ebN0, seed+1)
-	got := m.Demodulate(ch.Transmit(syms))
-	errs := 0
-	for i := range bits {
-		if bits[i] != got[i] {
-			errs++
-		}
-	}
-	return float64(errs) / float64(nbits), nil
 }

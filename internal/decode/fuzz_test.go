@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 	"mindful/internal/nn"
 )
@@ -65,7 +66,7 @@ func FuzzDecoderStep(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
+	rng := detrand.New(3)
 	net, err := nn.NewNetwork(1, channels,
 		nn.RandDense(rng, channels, 16, nn.ReLU),
 		nn.RandDense(rng, 16, 2, nn.Identity))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 	"mindful/internal/nn"
 )
@@ -277,7 +278,7 @@ func TestRecalibratorRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(3))
+	rng := detrand.New(3)
 	net, err := nn.NewNetwork(1, 8,
 		nn.RandDense(rng, 8, 16, nn.ReLU),
 		nn.RandDense(rng, 16, 2, nn.Identity))

@@ -1,9 +1,9 @@
 package decode
 
 import (
-	"math/rand"
 	"testing"
 
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 	"mindful/internal/nn"
 )
@@ -29,7 +29,7 @@ func allDecoders(t *testing.T) (map[string]Decoder, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
+	rng := detrand.New(3)
 	net, err := nn.NewNetwork(1, 8,
 		nn.RandDense(rng, 8, 16, nn.ReLU),
 		nn.RandDense(rng, 16, 2, nn.Identity))

@@ -1,104 +1,73 @@
-// Package detrand wraps math/rand with draw counting so a generator's
-// state can be serialized and restored exactly. The checkpoint/restore
-// machinery (internal/serve) needs to freeze a live pipeline mid-run and
-// later resume it bit-identically, but math/rand's generator state is not
-// exported. detrand sidesteps that: the wrapped source produces exactly
-// the same value sequence as rand.New(rand.NewSource(seed)) while counting
-// every source step, so a stream's full state is the pair (seed, draws).
-// Restore re-seeds and fast-forwards the counted number of steps — O(n)
-// in draws, which for simulation workloads (a few hundred draws per tick)
-// is microseconds per restored stream.
+// Package detrand is the repository's one seeded random generator: a
+// stream whose position is observable and restorable, so the
+// checkpoint/restore machinery (internal/serve) can freeze a live
+// pipeline mid-run and later resume it bit-identically. A stream's full
+// state is the pair (seed, draws): the seed it started from and the
+// number of generator steps consumed since. Restore re-seeds and
+// fast-forwards the counted number of steps — O(n) in draws, which for
+// simulation workloads (a few hundred draws per tick) is microseconds per
+// restored stream.
 //
-// The equality invariant is load-bearing for every digest pin in the
-// repository: swapping a component's *rand.Rand for *detrand.Rand must not
-// move a single byte of simulator output. TestSequenceMatchesMathRand
-// pins it.
+// The generator is math/rand's additive lagged Fibonacci source, copied
+// verbatim into rng.go (only the package line differs, so a diff against
+// $GOROOT/src/math/rand/rng.go is its review), held by value so every
+// sampler steps it with direct, inlinable calls. The samplers — Float64,
+// NormFloat64 and their bulk forms FillFloat64 and FillNorm — are
+// math/rand's algorithms over that step, each counting the steps it
+// consumes. A stream seeded s therefore yields exactly the values
+// rand.New(rand.NewSource(s)) would, call for call.
 //
-// The generator itself is math/rand's additive lagged Fibonacci source,
-// copied verbatim into rng.go (only the package line differs, so a diff
-// against $GOROOT/src/math/rand/rng.go is its review). Holding it by
-// value lets the bulk samplers, the fast samplers and the Restore
-// fast-forward step it with direct, inlinable calls instead of two
-// interface dispatches per draw.
+// That equality is load-bearing for every digest pin in the repository:
+// the synthetic cortex, the channel noise, the fault processes, drift and
+// the decoders' initialisation all draw from detrand streams, and their
+// recorded outputs were first produced on math/rand. math/rand survives
+// only as the test oracle: TestSequenceMatchesMathRand,
+// TestSamplersBitIdentical and FuzzSequenceMatchesMathRand replay every
+// sampler against a stock twin, and TestNoMathRandOutsideTests (in the
+// module root) keeps it out of non-test code.
 package detrand
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // State is a stream's serializable position: the seed it started from and
-// the number of source steps consumed since.
+// the number of generator steps consumed since.
 type State struct {
 	Seed  int64
 	Draws uint64
 }
 
-// source wraps math/rand's generator, counting steps. Both Int63 and
-// Uint64 advance the underlying generator by exactly one step, so the
-// count is the generator's absolute position regardless of which
-// top-level rand.Rand method triggered the draw.
-type source struct {
+// Rand is a seeded generator stream that counts its steps. Every sampler
+// advances draws by exactly the number of generator steps it consumed, so
+// draws is the generator's absolute position whichever samplers ran.
+type Rand struct {
 	rng   rngSource
+	seed  int64
 	draws uint64
 }
 
-// newSource returns a counting source seeded like rand.NewSource(seed).
-func newSource(seed int64) *source {
-	s := new(source)
-	s.rng.Seed(seed)
-	return s
-}
-
-func (s *source) Int63() int64 {
-	s.draws++
-	return s.rng.Int63()
-}
-
-func (s *source) Uint64() uint64 {
-	s.draws++
-	return s.rng.Uint64()
-}
-
-func (s *source) Seed(seed int64) {
-	s.draws = 0
-	s.rng.Seed(seed)
-}
-
-// Rand is a *rand.Rand whose position is observable and restorable. All
-// rand.Rand methods are available through embedding and produce exactly
-// the values the stock generator would.
-type Rand struct {
-	*rand.Rand
-	seed int64
-	cnt  *source
-}
-
-// New returns a counting generator seeded like rand.New(rand.NewSource(seed)).
+// New returns a stream seeded like rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
-	cnt := newSource(seed)
-	return &Rand{Rand: rand.New(cnt), seed: seed, cnt: cnt}
+	r := &Rand{seed: seed}
+	r.rng.Seed(seed)
+	return r
 }
 
 // State returns the stream's serializable position.
 func (r *Rand) State() State {
-	return State{Seed: r.seed, Draws: r.cnt.draws}
+	return State{Seed: r.seed, Draws: r.draws}
 }
 
-// Draws returns the number of source steps consumed so far.
-func (r *Rand) Draws() uint64 { return r.cnt.draws }
+// Draws returns the number of generator steps consumed so far.
+func (r *Rand) Draws() uint64 { return r.draws }
 
-// Restore rebuilds a generator at the recorded position by re-seeding and
+// Restore rebuilds a stream at the recorded position by re-seeding and
 // fast-forwarding st.Draws steps.
 func Restore(st State) *Rand {
 	r := New(st.Seed)
-	// Skip on the raw source so the counter ends exactly at st.Draws and
-	// rand.Rand's internal caches are untouched (they only matter for
-	// Read, which nothing in this repository uses).
 	for i := uint64(0); i < st.Draws; i++ {
-		r.cnt.rng.Uint64()
+		r.rng.Uint64()
 	}
-	r.cnt.draws = st.Draws
+	r.draws = st.Draws
 	return r
 }
 
@@ -111,8 +80,8 @@ func RestoreInto(r *Rand, st State) (*Rand, error) {
 	if st.Seed != r.seed {
 		return nil, fmt.Errorf("detrand: state seed %d does not match stream seed %d", st.Seed, r.seed)
 	}
-	if st.Draws < r.cnt.draws {
-		return nil, fmt.Errorf("detrand: state position %d behind construction position %d", st.Draws, r.cnt.draws)
+	if st.Draws < r.draws {
+		return nil, fmt.Errorf("detrand: state position %d behind construction position %d", st.Draws, r.draws)
 	}
 	return Restore(st), nil
 }

@@ -17,18 +17,46 @@ var sequenceSeeds = []int64{
 	-681043614410909012, 6520056262494297177, 7931787381329147257,
 }
 
-// TestSequenceMatchesMathRand: the counting wrapper must be value-exact
-// against the stock generator for every method the simulators use. This
-// is the invariant that keeps every recorded digest pin valid after the
-// rand → detrand swap. Each seed runs well past three turns of the
-// generator's 607-word feedback register, so every register slot is
-// read back after being written.
+// countingSource is math/rand's stock source with a step counter: the
+// oracle twin whose position a stream's Draws must match. Both Int63 and
+// Uint64 are one generator step.
+type countingSource struct {
+	src   rand.Source64
+	steps uint64
+}
+
+func (s *countingSource) Int63() int64    { s.steps++; return s.src.Int63() }
+func (s *countingSource) Uint64() uint64  { s.steps++; return s.src.Uint64() }
+func (s *countingSource) Seed(seed int64) { s.steps = 0; s.src.Seed(seed) }
+
+// newTwin returns a stock generator seeded like New(seed) and its
+// counting source.
+func newTwin(seed int64) (*rand.Rand, *countingSource) {
+	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return rand.New(cs), cs
+}
+
+// step is one raw generator step on r, counted: the stock source's
+// Uint64 on the twin.
+func step(r *Rand) uint64 {
+	r.draws++
+	return r.rng.Uint64()
+}
+
+// TestSequenceMatchesMathRand: a stream must be value-exact against the
+// stock generator for every sampler the simulators use, with raw
+// generator steps interleaved on the same stream, and its Draws must be
+// the stock source's step count. This is the invariant that keeps every
+// recorded digest pin valid: those pins were first produced on
+// math/rand. Each seed runs well past three turns of the generator's
+// 607-word feedback register, so every register slot is read back after
+// being written.
 func TestSequenceMatchesMathRand(t *testing.T) {
 	for _, seed := range sequenceSeeds {
-		ref := rand.New(rand.NewSource(seed))
+		ref, cs := newTwin(seed)
 		got := New(seed)
 		for i := 0; i < 4*607; i++ {
-			switch i % 5 {
+			switch i % 4 {
 			case 0:
 				if a, b := ref.Float64(), got.Float64(); a != b {
 					t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, b, a)
@@ -38,30 +66,30 @@ func TestSequenceMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, b, a)
 				}
 			case 2:
-				if a, b := ref.Int63(), got.Int63(); a != b {
+				if a, b := ref.Int63(), got.int63(); a != b {
 					t.Fatalf("seed %d draw %d: Int63 %v != %v", seed, i, b, a)
 				}
 			case 3:
-				if a, b := ref.Intn(97), got.Intn(97); a != b {
-					t.Fatalf("seed %d draw %d: Intn %v != %v", seed, i, b, a)
-				}
-			case 4:
-				if a, b := ref.Uint64(), got.Uint64(); a != b {
+				if a, b := ref.Uint64(), step(got); a != b {
 					t.Fatalf("seed %d draw %d: Uint64 %v != %v", seed, i, b, a)
 				}
 			}
+			if got.Draws() != cs.steps {
+				t.Fatalf("seed %d draw %d: %d draws counted, stock source stepped %d", seed, i, got.Draws(), cs.steps)
+			}
 		}
-		// The raw generator too, so a Restore fast-forward (which steps
-		// it directly) lands where the stock source would.
+		// The raw generator alone, from a fresh seed, so a Restore
+		// fast-forward (which steps it directly) lands where the stock
+		// source would.
 		src := rand.NewSource(seed).(rand.Source64)
-		raw := newSource(seed)
+		raw := New(seed)
 		for i := 0; i < 3*607; i++ {
-			if a, b := src.Uint64(), raw.Uint64(); a != b {
+			if a, b := src.Uint64(), step(raw); a != b {
 				t.Fatalf("seed %d step %d: generator %d != stock %d", seed, i, b, a)
 			}
 		}
-		if raw.draws != 3*607 {
-			t.Fatalf("seed %d: %d draws counted, want %d", seed, raw.draws, 3*607)
+		if raw.Draws() != 3*607 {
+			t.Fatalf("seed %d: %d draws counted, want %d", seed, raw.Draws(), 3*607)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // implant → wearable pipeline: the failure modes a chronic implant
 // actually meets — burst interference on the uplink, whole-frame loss,
 // dying electrodes, transmitter brownouts — modeled as seeded, replayable
-// processes. Every injector is driven by its own math/rand stream, so a
+// processes. Every injector is driven by its own detrand stream, so a
 // pipeline that derives per-purpose seeds (fleet.DeriveSeed) reproduces
 // the exact same fault history regardless of scheduling or worker count.
 //
@@ -12,7 +12,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mindful/internal/detrand"
 	"mindful/internal/obs"
@@ -245,7 +244,7 @@ func (l *BurstLink) AppendTransport(dst, buf []byte) []byte {
 	l.stats.Frames++
 	l.frames.Inc()
 	p := &l.p
-	if p.FrameLoss > 0 && l.rng.FastFloat64() < p.FrameLoss {
+	if p.FrameLoss > 0 && l.rng.Float64() < p.FrameLoss {
 		l.stats.DroppedFrames++
 		l.drops.Inc()
 		return nil
@@ -353,7 +352,7 @@ func NewElectrodeBank(channels int, p Profile, seed int64) (*ElectrodeBank, erro
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	b := &ElectrodeBank{
 		states: make([]ChannelState, channels),
 		stuck:  make([]float64, channels),

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
 	"mindful/internal/decode"
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 	"mindful/internal/neural"
 	"mindful/internal/nn"
@@ -209,7 +209,7 @@ func (c DecodeConfig) Validate() error {
 // so a restored session refits the identical decoder.
 func newSessionDecoder(cfg Config, idx int) (decode.Decoder, error) {
 	dc := cfg.Decode.withDefaults()
-	rng := rand.New(rand.NewSource(DeriveSeed(cfg.Seed, uint64(idx), StreamDecode)))
+	rng := detrand.New(DeriveSeed(cfg.Seed, uint64(idx), StreamDecode))
 	ch := cfg.Channels
 
 	if dc.Kind == DecoderDNN {

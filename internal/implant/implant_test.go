@@ -2,10 +2,10 @@ package implant
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"mindful/internal/comm"
+	"mindful/internal/detrand"
 	"mindful/internal/nn"
 	"mindful/internal/units"
 )
@@ -65,7 +65,7 @@ func TestCommCentricEndToEnd(t *testing.T) {
 
 func smallNetwork(t *testing.T, channels, labels int) *nn.Network {
 	t.Helper()
-	rng := rand.New(rand.NewSource(9))
+	rng := detrand.New(9)
 	net, err := nn.NewNetwork(1, channels,
 		nn.RandDense(rng, channels, 32, nn.ReLU),
 		nn.RandDense(rng, 32, labels, nn.Identity),

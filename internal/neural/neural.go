@@ -269,20 +269,18 @@ func (g *Generator) NextInto(dst []float64) []float64 {
 	return dst
 }
 
-// fill writes one sample per channel into dst (len = Channels). Draws go
-// through the detrand fast samplers, which return exactly the values and
-// draw counts of the stock NormFloat64/Float64 without the rand.Rand
-// wrapper's per-draw dispatch (the stock-sampler reference lives in
-// reference_test.go as the oracle).
+// fill writes one sample per channel into dst (len = Channels), drawing
+// from the generator's detrand stream (reference_test.go holds the same
+// fill over a math/rand generator as the oracle).
 func (g *Generator) fill(dst []float64) {
 	dt := g.cfg.SampleRate.Period()
-	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + g.rng.FastNormFloat64()
+	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + g.rng.NormFloat64()
 	g.lfpY2, g.lfpY1 = g.lfpY1, raw
 	lfp := raw * g.lfpNorm
 
 	tlen := len(g.template)
 	for c := 0; c < g.cfg.Channels; c++ {
-		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*g.rng.FastNormFloat64()
+		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*g.rng.NormFloat64()
 		ring := g.pending[c*tlen : (c+1)*tlen]
 		head := g.pendHead[c]
 		if g.active[c] && (g.drift == nil || g.drift.alive[c]) {
@@ -298,7 +296,7 @@ func (g *Generator) fill(dst []float64) {
 			if rate < 0 {
 				rate = 0
 			}
-			if g.rng.FastFloat64() < rate*dt {
+			if g.rng.Float64() < rate*dt {
 				// Emit a spike: mix the template additively into the
 				// channel's pending ring (overlapping spikes sum).
 				for k, tv := range g.template {

@@ -6,20 +6,23 @@ import (
 	"reflect"
 	"testing"
 
+	"mindful/internal/detrand"
 	"mindful/internal/units"
 )
 
-// refFill is fill through the stock math/rand samplers — the reference
-// the fast-sampler production fill is pinned against.
-func (g *Generator) refFill(dst []float64) {
+// refFill is fill drawing from rng, a math/rand generator positioned
+// where g's stream is — the reference the production fill, which draws
+// from its detrand stream, is pinned against. g's own stream is not
+// advanced.
+func (g *Generator) refFill(dst []float64, rng *rand.Rand) {
 	dt := g.cfg.SampleRate.Period()
-	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + g.rng.NormFloat64()
+	raw := g.lfpA1*g.lfpY1 + g.lfpA2*g.lfpY2 + rng.NormFloat64()
 	g.lfpY2, g.lfpY1 = g.lfpY1, raw
 	lfp := raw * g.lfpNorm
 
 	tlen := len(g.template)
 	for c := 0; c < g.cfg.Channels; c++ {
-		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*g.rng.NormFloat64()
+		v := g.cfg.LFPAmplitude*lfp + g.cfg.NoiseRMS*rng.NormFloat64()
 		ring := g.pending[c*tlen : (c+1)*tlen]
 		head := g.pendHead[c]
 		if g.active[c] && (g.drift == nil || g.drift.alive[c]) {
@@ -32,7 +35,7 @@ func (g *Generator) refFill(dst []float64) {
 			if rate < 0 {
 				rate = 0
 			}
-			if g.rng.Float64() < rate*dt {
+			if rng.Float64() < rate*dt {
 				for k, tv := range g.template {
 					ring[(head+k)%tlen] += tv * amp
 				}
@@ -49,6 +52,26 @@ func (g *Generator) refFill(dst []float64) {
 	g.t++
 }
 
+// countingSource is math/rand's stock source with a step counter.
+type countingSource struct {
+	rand.Source64
+	steps uint64
+}
+
+func (s *countingSource) Int63() int64   { s.steps++; return s.Source64.Int63() }
+func (s *countingSource) Uint64() uint64 { s.steps++; return s.Source64.Uint64() }
+
+// stockAt returns a math/rand generator at st's position and its
+// counting source, whose steps start at st.Draws.
+func stockAt(st detrand.State) (*rand.Rand, *countingSource) {
+	cs := &countingSource{Source64: rand.NewSource(st.Seed).(rand.Source64)}
+	for i := uint64(0); i < st.Draws; i++ {
+		cs.Source64.Uint64()
+	}
+	cs.steps = st.Draws
+	return rand.New(cs), cs
+}
+
 // refAppendQuantize quantizes one sample at a time through Quantize.
 func (a ADC) refAppendQuantize(dst []uint16, xs []float64) []uint16 {
 	for _, x := range xs {
@@ -58,10 +81,10 @@ func (a ADC) refAppendQuantize(dst []uint16, xs []float64) []uint16 {
 }
 
 // TestNextIntoFastIdentical steps generators through the production
-// NextInto and identically seeded twins through the stock-sampler
-// reference, asserting bit-identical samples, spike logs and end states
-// across many ticks, changing intents and a mid-run unit drift (rotated,
-// rescaled and dead units).
+// NextInto and identically seeded twins through the reference fill on a
+// math/rand generator, asserting bit-identical samples, spike logs and
+// end states (draw counts included) across many ticks, changing intents
+// and a mid-run unit drift (rotated, rescaled and dead units).
 func TestNextIntoFastIdentical(t *testing.T) {
 	const (
 		n     = 5
@@ -84,6 +107,11 @@ func TestNextIntoFastIdentical(t *testing.T) {
 		return gens
 	}
 	fast, ref := mk(), mk()
+	stock := make([]*rand.Rand, n)
+	steps := make([]*countingSource, n)
+	for i, g := range ref {
+		stock[i], steps[i] = stockAt(g.rng.State())
+	}
 	got := make([]float64, cfg.Channels)
 	want := make([]float64, cfg.Channels)
 	for tick := 0; tick < ticks; tick++ {
@@ -102,7 +130,7 @@ func TestNextIntoFastIdentical(t *testing.T) {
 			fast[i].SetIntent(ix, iy)
 			ref[i].SetIntent(ix, iy)
 			got = fast[i].NextInto(got)
-			ref[i].refFill(want)
+			ref[i].refFill(want, stock[i])
 			for c := range want {
 				if math.Float64bits(want[c]) != math.Float64bits(got[c]) {
 					t.Fatalf("tick %d gen %d ch %d: fast %v != reference %v", tick, i, c, got[c], want[c])
@@ -111,6 +139,7 @@ func TestNextIntoFastIdentical(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
+		ref[i].rng = detrand.Restore(detrand.State{Seed: ref[i].rng.State().Seed, Draws: steps[i].steps})
 		if !reflect.DeepEqual(fast[i].Snapshot(), ref[i].Snapshot()) {
 			t.Fatalf("gen %d: end states diverged", i)
 		}

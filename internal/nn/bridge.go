@@ -2,8 +2,8 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
+	"mindful/internal/detrand"
 	"mindful/internal/dnnmodel"
 )
 
@@ -17,7 +17,7 @@ func BuildFromSpec(m dnnmodel.Model, seed int64) (*Network, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	layers := make([]Layer, 0, len(m.Layers))
 	for i, spec := range m.Layers {
 		if spec.Kind != dnnmodel.DenseKind {
@@ -46,7 +46,7 @@ func BuildConvFromSpec(m dnnmodel.Model, seed int64) (*Network, error) {
 	if m.Layers[0].Kind != dnnmodel.ConvKind {
 		return nil, fmt.Errorf("nn: BuildConvFromSpec needs a convolutional front layer")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	var layers []Layer
 	var block *DenseBlock
 	flushBlock := func() {

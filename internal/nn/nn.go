@@ -14,8 +14,8 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 )
 
@@ -430,7 +430,7 @@ func Argmax(xs []float64) int {
 }
 
 // RandDense builds a dense layer with Xavier-uniform random weights.
-func RandDense(rng *rand.Rand, in, out int, act Activation) *Dense {
+func RandDense(rng *detrand.Rand, in, out int, act Activation) *Dense {
 	limit := math.Sqrt(6 / float64(in+out))
 	w := make([][]float64, out)
 	for o := range w {
@@ -448,7 +448,7 @@ func RandDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 }
 
 // RandConv1D builds a convolution with Xavier-uniform random kernels.
-func RandConv1D(rng *rand.Rand, inCh, outCh, k, stride int, act Activation) *Conv1D {
+func RandConv1D(rng *detrand.Rand, inCh, outCh, k, stride int, act Activation) *Conv1D {
 	limit := math.Sqrt(6 / float64(inCh*k+outCh*k))
 	kernels := make([][][]float64, outCh)
 	for o := range kernels {

@@ -2,10 +2,10 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"mindful/internal/detrand"
 	"mindful/internal/fixed"
 )
 
@@ -143,7 +143,7 @@ func TestConvStrideAndValidation(t *testing.T) {
 }
 
 func TestDenseBlockConcatenation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := detrand.New(2)
 	// K=1 convolutions preserve length; channels grow 4 → 4+8 → 12+8.
 	b := &DenseBlock{Convs: []*Conv1D{
 		RandConv1D(rng, 4, 8, 1, 1, ReLU),
@@ -190,7 +190,7 @@ func TestDenseBlockConcatenation(t *testing.T) {
 }
 
 func TestNetworkComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := detrand.New(3)
 	net, err := NewNetwork(1, 128,
 		RandDense(rng, 128, 64, ReLU),
 		RandDense(rng, 64, 40, Identity),
@@ -228,7 +228,7 @@ func TestNetworkComposition(t *testing.T) {
 	}
 }
 
-func randVec(rng *rand.Rand, n int) []float64 {
+func randVec(rng *detrand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = rng.NormFloat64()
@@ -280,7 +280,7 @@ func TestSoftmaxProperty(t *testing.T) {
 }
 
 func TestQuantizedDenseTracksFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := detrand.New(4)
 	d := RandDense(rng, 64, 16, ReLU)
 	in := randVec(rng, 64)
 	want, err := d.Forward(FromVector(in))
@@ -307,7 +307,7 @@ func TestQuantizedDenseTracksFloat(t *testing.T) {
 func TestQuantizedClassificationAgrees(t *testing.T) {
 	// For a classifier, int8 inference should pick the same class as
 	// float inference on the vast majority of random inputs.
-	rng := rand.New(rand.NewSource(5))
+	rng := detrand.New(5)
 	d := RandDense(rng, 32, 10, Identity)
 	agree := 0
 	const trials = 200
@@ -331,7 +331,7 @@ func TestQuantizedClassificationAgrees(t *testing.T) {
 }
 
 func TestQuantizedDenseZeroInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	rng := detrand.New(6)
 	d := RandDense(rng, 8, 4, Identity)
 	out, err := QuantizedDense(d, make([]float64, 8), fixed.Q7)
 	if err != nil {

@@ -13,8 +13,8 @@ package snn
 
 import (
 	"fmt"
-	"math/rand"
 
+	"mindful/internal/detrand"
 	"mindful/internal/units"
 )
 
@@ -81,7 +81,7 @@ func NewLayer(w [][]float64, p LIF) (*Layer, error) {
 
 // RandLayer builds a layer with positive random weights scaled so that a
 // fully active input drives neurons past threshold within a few steps.
-func RandLayer(rng *rand.Rand, in, out int, p LIF) *Layer {
+func RandLayer(rng *detrand.Rand, in, out int, p LIF) *Layer {
 	w := make([][]float64, out)
 	scale := 4 * p.Threshold / float64(in)
 	for o := range w {
@@ -241,7 +241,7 @@ func (n *Network) Synapses() int {
 // PoissonEncoder converts analog values in [0, 1] into spike trains whose
 // rates are proportional to the values.
 type PoissonEncoder struct {
-	rng *rand.Rand
+	rng *detrand.Rand
 	// MaxRate is the spike probability per step at input 1.0.
 	MaxRate float64
 }
@@ -251,7 +251,7 @@ func NewPoissonEncoder(seed int64, maxRate float64) (*PoissonEncoder, error) {
 	if maxRate <= 0 || maxRate > 1 {
 		return nil, fmt.Errorf("snn: max rate %g outside (0, 1]", maxRate)
 	}
-	return &PoissonEncoder{rng: rand.New(rand.NewSource(seed)), MaxRate: maxRate}, nil
+	return &PoissonEncoder{rng: detrand.New(seed), MaxRate: maxRate}, nil
 }
 
 // Encode produces one timestep of spikes for the value vector (values are

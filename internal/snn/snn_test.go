@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mindful/internal/detrand"
 	"mindful/internal/mac"
 )
 
@@ -93,7 +94,7 @@ func TestRefractoryPeriod(t *testing.T) {
 }
 
 func TestEventCountingIsEventDriven(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := detrand.New(4)
 	l := RandLayer(rng, 10, 5, DefaultLIF())
 	// No input spikes → zero events.
 	_, ev, err := l.Step(make([]byte, 10))
@@ -116,7 +117,7 @@ func TestEventCountingIsEventDriven(t *testing.T) {
 }
 
 func TestNetworkPropagationAndAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := detrand.New(5)
 	n, err := NewNetwork(
 		RandLayer(rng, 16, 8, DefaultLIF()),
 		RandLayer(rng, 8, 4, DefaultLIF()),
@@ -211,7 +212,7 @@ func TestNetworkDiscriminatesInputPatterns(t *testing.T) {
 func TestEnergyModelAgainstDenseMLP(t *testing.T) {
 	// The headline SNN claim: at low input activity, the event-driven
 	// cost beats the dense MAC cost by roughly (activity × AC/MAC ratio).
-	rng := rand.New(rand.NewSource(6))
+	rng := detrand.New(6)
 	n, err := NewNetwork(RandLayer(rng, 64, 32, DefaultLIF()))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +279,7 @@ func TestActivityMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		build := func() *Network {
-			r := rand.New(rand.NewSource(42))
+			r := detrand.New(42)
 			n, err := NewNetwork(RandLayer(r, 32, 16, DefaultLIF()))
 			if err != nil {
 				return nil
@@ -326,7 +327,7 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := NewNetwork(); err == nil {
 		t.Errorf("empty network should fail")
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := detrand.New(1)
 	if _, err := NewNetwork(RandLayer(rng, 4, 3, DefaultLIF()), RandLayer(rng, 5, 2, DefaultLIF())); err == nil {
 		t.Errorf("mismatched layers should fail")
 	}
@@ -344,7 +345,7 @@ func TestEnergyModelEdges(t *testing.T) {
 	if em.PerEvent.Joules() >= mac.NanGate45.EnergyPerStep().Joules() {
 		t.Errorf("accumulate must cost less than a full MAC")
 	}
-	rng := rand.New(rand.NewSource(2))
+	rng := detrand.New(2)
 	n, _ := NewNetwork(RandLayer(rng, 4, 2, DefaultLIF()))
 	if n.ActivityFactor() != 0 {
 		t.Errorf("fresh network activity factor should be 0")

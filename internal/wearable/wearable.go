@@ -15,10 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"mindful/internal/comm"
+	"mindful/internal/detrand"
 	"mindful/internal/obs"
 )
 
@@ -375,7 +375,7 @@ func (r *Receiver) Stats() Stats {
 // (see fault.BurstLink for the two-state burst generalization).
 type LossyLink struct {
 	BER float64
-	rng *rand.Rand
+	rng *detrand.Rand
 
 	frames   *obs.Counter
 	bitFlips *obs.Counter
@@ -399,7 +399,7 @@ func NewLossyLink(ber float64, seed int64) (*LossyLink, error) {
 	if ber < 0 || ber >= 1 {
 		return nil, fmt.Errorf("wearable: BER %g outside [0, 1)", ber)
 	}
-	return &LossyLink{BER: ber, rng: rand.New(rand.NewSource(seed))}, nil
+	return &LossyLink{BER: ber, rng: detrand.New(seed)}, nil
 }
 
 // Transport returns a possibly-corrupted copy of the frame. The caller's

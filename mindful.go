@@ -36,12 +36,12 @@ package mindful
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"mindful/internal/afe"
 	"mindful/internal/comm"
 	"mindful/internal/decode"
+	"mindful/internal/detrand"
 	"mindful/internal/dnnmodel"
 	"mindful/internal/dsp"
 	"mindful/internal/implant"
@@ -227,7 +227,7 @@ func NewRandomMLP(seed int64, sizes ...int) (*Network, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("mindful: need at least input and output sizes, got %d", len(sizes))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	layers := make([]nn.Layer, 0, len(sizes)-1)
 	for i := 0; i+1 < len(sizes); i++ {
 		act := nn.ReLU
@@ -359,7 +359,7 @@ func NewRandomSNN(seed int64, params LIFParams, sizes ...int) (*SNN, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("mindful: need at least input and output sizes, got %d", len(sizes))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	layers := make([]*snn.Layer, 0, len(sizes)-1)
 	for i := 0; i+1 < len(sizes); i++ {
 		layers = append(layers, snn.RandLayer(rng, sizes[i], sizes[i+1], params))
