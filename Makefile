@@ -77,13 +77,14 @@ fault-smoke:
 # stream its frames over the data plane, snapshot, restore with an
 # extended tick target and assert the continued digest is bit-identical
 # to an uninterrupted run; hold paced sessions to their fixed-rate tick
-# schedule (nominal time, no burst after a pause) — plus the checkpoint
+# schedule (nominal time, no burst after a pause), end a deleted
+# session's stream with every queued record and then EOF — plus the checkpoint
 # determinism wall, all under the race detector; then the checkpoint
 # codec's v3 golden blob, pinned byte for byte, and its field walk
 # against the two-sided reference codec (single-goroutine code, so
 # without the race detector: ~1 s).
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestPauseResumeSnapshot|TestShutdownDrainsSnapshots|TestTickSchedulePace' ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestPauseResumeSnapshot|TestShutdownDrainsSnapshots|TestTickSchedulePace|TestDeleteFlushesSubscriber' ./internal/serve/
 	$(GO) test -race -run 'TestCheckpointResume|TestRestoreContinuesBitIdentically' ./internal/fleet/ ./internal/serve/checkpoint/
 	$(GO) test -run 'TestCodecMatchesOracle|TestGoldenV3' ./internal/serve/checkpoint/
 
@@ -119,11 +120,12 @@ obs-smoke:
 # following a migration through the front tier, the chaos kill/restore
 # regression (SIGKILL-equivalent shard death right after a live
 # migration onto it, checkpoint recovery, split-brain guard, digests
-# pinned), the sweep driver's digest audit, and the drain-readyz
-# contract — all under the race detector.
+# pinned), the sweep driver's digest audit, the drain-readyz
+# contract, and the migration target holding its records for the first
+# subscriber (even after it finished) — all under the race detector.
 cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestMigration|TestMigrate|TestConcurrentMigrations|TestSubscriberFollowsMigration|TestChaos|TestCluster' ./internal/cluster/
-	$(GO) test -race -run 'TestExportImport|TestImportRejects|TestReadyzDraining|TestSubscribeMoved|TestKillIsAbrupt' ./internal/serve/
+	$(GO) test -race -run 'TestExportImport|TestImportRejects|TestImportHoldsForFirstSubscriber|TestReadyzDraining|TestSubscribeMoved|TestKillIsAbrupt' ./internal/serve/
 
 # Chaos-hardening smoke: the deterministic fault-injection primitives
 # (CRN monotonicity, per-op isolation, transport fates), the durable

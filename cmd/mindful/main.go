@@ -1,12 +1,18 @@
-// Command mindful regenerates the paper's evaluation artifacts: Table 1
-// and Figures 4–7 and 9–12. Each subcommand prints an aligned table and an
-// ASCII chart; -csv and -svg write machine-readable and vector outputs.
+// Command mindful is MINDFUL-Go's one command. It regenerates the
+// paper's evaluation artifacts — Table 1 and Figures 4–7 and 9–12, each
+// an aligned table and an ASCII chart, with -csv and -svg writing
+// machine-readable and vector outputs — runs the virtual implant, queries
+// the Table 1 design database, and drives the fleet simulator, the
+// serving gateway and the sharded cluster.
 //
 // Usage:
 //
 //	mindful [flags] <table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|fig12|fleet|observe|all|validate>
 //	mindful [flags] fleet [-n N] [-workers K] [-ticks T] [-scaling FILE]
 //	               [-faults I] [-arq N] [-fec D] [-conceal MODE] [-fault-sweep FILE]
+//	mindful [flags] implant [-channels N] [-flow comm|compute|feature|spike]
+//	               [-seconds S] [-labels L] [-area MM2]
+//	mindful soc <list | show NUM | scale NUM [CHANNELS]>
 //
 // Flags:
 //
@@ -17,9 +23,10 @@
 //	-events FILE      write the flight-recorder event log as JSON lines at exit
 //	-debug-addr ADDR  serve /metrics, /trace, expvar and pprof while running
 //
-// The observe subcommand runs the instrumented implant → modem → wearable
-// chain plus the thermal and scheduling solvers, so -metrics captures a
-// snapshot that spans every layer.
+// The observe subcommand runs one fleet at the default operating point
+// with the observer and the stage flight recorder attached, plus the
+// thermal and scheduling solvers, so -metrics captures a snapshot that
+// spans every layer.
 package main
 
 import (
@@ -53,7 +60,7 @@ var errUsage = errors.New("usage error")
 
 // hasOwnFlags lists the subcommands that parse their own flags from the
 // remaining arguments.
-var hasOwnFlags = map[string]bool{"fleet": true, "profile": true, "serve": true, "cluster": true}
+var hasOwnFlags = map[string]bool{"fleet": true, "profile": true, "serve": true, "cluster": true, "implant": true, "soc": true}
 
 func main() {
 	flag.Usage = usage
@@ -82,6 +89,8 @@ func main() {
 		"serve":    runServe,
 		"cluster":  runCluster,
 		"observe":  runObserve,
+		"implant":  runImplant,
+		"soc":      runSoC,
 		"validate": runValidate,
 	}
 	// The scheduler backs most figure runners; wiring its package-level
@@ -121,10 +130,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mindful [-csv DIR] [-svg DIR] [-metrics FILE] [-trace FILE] [-events FILE] [-debug-addr ADDR] <table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|fig12|ablate|ext|fleet|profile|serve|cluster|observe|all|validate>")
+	fmt.Fprintln(os.Stderr, "usage: mindful [-csv DIR] [-svg DIR] [-metrics FILE] [-trace FILE] [-events FILE] [-debug-addr ADDR] <table1|fig4|fig5|fig6|fig7|fig9|fig10|fig11|fig12|ablate|ext|fleet|profile|serve|cluster|observe|implant|soc|all|validate>")
 	fmt.Fprintln(os.Stderr, "       mindful fleet [-n N] [-workers K] [-ticks T] [-channels C] [-qam B] [-ebn0 DB] [-seed S] [-scaling FILE]")
 	fmt.Fprintln(os.Stderr, "                     [-faults I] [-arq N] [-fec D] [-conceal none|hold|interp] [-fault-sweep FILE] [-stage-timing]")
 	fmt.Fprintln(os.Stderr, "       mindful profile [fleet pipeline flags] [-out FILE]")
+	fmt.Fprintln(os.Stderr, "       mindful implant [-channels N] [-flow comm|compute|feature|spike] [-seconds S] [-labels L] [-area MM2]")
+	fmt.Fprintln(os.Stderr, "       mindful soc <list | show NUM | scale NUM [CHANNELS]>")
 	fmt.Fprintln(os.Stderr, "       mindful serve [-ctl ADDR] [-stream ADDR] [-snapshot-dir DIR] [-max-sessions N] [-queue N] [-stall D] [-tick-interval D]")
 	fmt.Fprintln(os.Stderr, "       mindful cluster [-shards N] [-sessions N] [-subs N] [-ticks T] [-migrations M] [-kill] [-chaos-seed S] [-chaos-intensities L] [-chaos-out FILE]")
 	flag.PrintDefaults()

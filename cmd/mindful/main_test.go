@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -66,40 +67,38 @@ func TestRunnersProduceOutput(t *testing.T) {
 }
 
 // TestObserveMetricsSnapshot checks the acceptance path: an observe run
-// exported with -metrics yields Prometheus text naming the implant frame
-// and bit counters, the modem error counter, and the thermal max-ΔT gauge.
+// exported with -metrics yields Prometheus text naming the fleet's
+// shard-labeled frame, bit and bit-error counters, the wearable's
+// accepted-frame counter and the thermal max-ΔT gauge.
 func TestObserveMetricsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	*metricsPath = filepath.Join(dir, "obs.prom")
-	*tracePath = filepath.Join(dir, "obs.jsonl")
-	defer func() { *metricsPath, *tracePath = "", "" }()
-	capture(t, runObserve)
+	defer func() { *metricsPath = "" }()
+	out := capture(t, runObserve)
 	if err := writeObsOutputs(); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{"BER", "FER", "corrupt", "lost", "Stage timing", "transport"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("observe output missing %q:\n%s", want, out)
+		}
 	}
 	prom, err := os.ReadFile(*metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# TYPE implant_frames_total counter",
-		`implant_frames_total{flow="communication-centric"}`,
-		`implant_bits_sent_total{flow="communication-centric"}`,
-		`comm_modem_bit_errors_total{modulation="16-QAM"}`,
+		"# TYPE fleet_frames_total counter",
+		`fleet_frames_total{shard="0"}`,
+		`fleet_bits_sent_total{shard="0"}`,
+		`fleet_bit_errors_total{shard="0"}`,
+		`fleet_frames_accepted_total{shard="0"}`,
 		"# TYPE thermal_max_rise_celsius gauge",
 		`thermal_max_rise_celsius{solver="steady1d"}`,
-		"wearable_frames_accepted_total",
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics snapshot missing %q", want)
 		}
-	}
-	trace, err := os.ReadFile(*tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(trace), `"name":"implant.tick"`) {
-		t.Errorf("trace snapshot missing implant.tick spans")
 	}
 }
 
@@ -168,5 +167,112 @@ func TestCSVAndSVGOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(svg), "<svg") {
 		t.Errorf("svg content wrong")
+	}
+}
+
+// TestImplantFlows: every dataflow runs and prints the power and safety
+// report, and the implant reports into the process-wide observer, so the
+// global -metrics and -trace flags capture its counters and tick spans.
+func TestImplantFlows(t *testing.T) {
+	cases := []struct {
+		flow string
+		want []string
+	}{
+		{"comm", []string{"communication-centric", "Frames sent:        2000\n", "reduction 0.92×", "Safety:             SAFE"}},
+		{"compute", []string{"computation-centric", "(2000 DNN inferences)", "reduction 2.50×", "Last DNN output:    40 values"}},
+		{"feature", []string{"feature-centric", "Frames sent:        100\n", "Feature vectors:    100\n", "reduction 18.39×"}},
+		{"spike", []string{"spike-centric", "Frames sent:        908\n", "Spike events:       1555\n", "reduction 21.03×"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flow, func(t *testing.T) {
+			out := runSubcommand(t, runImplant, "implant", "-flow", tc.flow)
+			for _, want := range append(tc.want, "Power:", "Uplink rate:") {
+				if !strings.Contains(out, want) {
+					t.Errorf("implant -flow %s output missing %q:\n%s", tc.flow, want, out)
+				}
+			}
+		})
+	}
+	if err := flag.CommandLine.Parse([]string{"implant", "-flow", "optical"}); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.CommandLine.Parse(nil)
+	if err := runImplant(); err == nil || errors.Is(err, errUsage) {
+		t.Errorf("unknown flow: error %v, want a plain (exit 1) error", err)
+	}
+}
+
+// TestImplantObserved: the implant's counters and per-tick spans land in
+// the -metrics and -trace snapshots.
+func TestImplantObserved(t *testing.T) {
+	dir := t.TempDir()
+	*metricsPath = filepath.Join(dir, "implant.prom")
+	*tracePath = filepath.Join(dir, "implant.jsonl")
+	defer func() { *metricsPath, *tracePath = "", "" }()
+	runSubcommand(t, runImplant, "implant", "-seconds", "0.05")
+	if err := writeObsOutputs(); err != nil {
+		t.Fatal(err)
+	}
+	prom, err := os.ReadFile(*metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE implant_frames_total counter",
+		`implant_frames_total{flow="communication-centric"}`,
+		`implant_bits_sent_total{flow="communication-centric"}`,
+	} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("metrics snapshot missing %q", want)
+		}
+	}
+	trace, err := os.ReadFile(*tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(trace), `"name":"implant.tick"`) {
+		t.Errorf("trace snapshot missing implant.tick spans")
+	}
+}
+
+// TestSoC: list, show and scale print the Table 1 queries; a malformed
+// command line is a usage error (exit 2) and a bad design number or
+// channel count a plain error (exit 1).
+func TestSoC(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		want []string
+	}{
+		{[]string{"soc", "list"}, []string{"Name", "BISC", "Neuralink", "HALO"}},
+		{[]string{"soc", "show", "1"}, []string{"NI type:", "at 1024 ch:", "safety:"}},
+		{[]string{"soc", "scale", "1"}, []string{"projected to 4096 channels", "naive:", "high-margin:", "raw data rate:"}},
+		{[]string{"soc", "scale", "2", "2048"}, []string{"projected to 2048 channels"}},
+	} {
+		out := runSubcommand(t, runSoC, tc.argv...)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v output missing %q:\n%s", tc.argv, want, out)
+			}
+		}
+	}
+	defer flag.CommandLine.Parse(nil)
+	for _, tc := range []struct {
+		argv  []string
+		usage bool
+	}{
+		{[]string{"soc"}, true},
+		{[]string{"soc", "drop"}, true},
+		{[]string{"soc", "show"}, true},
+		{[]string{"soc", "show", "x"}, false},
+		{[]string{"soc", "show", "12"}, false},
+		{[]string{"soc", "scale", "1", "0"}, false},
+	} {
+		if err := flag.CommandLine.Parse(tc.argv); err != nil {
+			t.Fatal(err)
+		}
+		err := runSoC()
+		if err == nil || errors.Is(err, errUsage) != tc.usage {
+			t.Errorf("%v: error %v, want usage error %v", tc.argv, err, tc.usage)
+		}
 	}
 }

@@ -3,18 +3,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
-	"mindful/internal/comm"
 	"mindful/internal/dnnmodel"
-	"mindful/internal/implant"
+	"mindful/internal/fleet"
 	"mindful/internal/mac"
 	"mindful/internal/obs"
 	"mindful/internal/report"
 	"mindful/internal/sched"
 	"mindful/internal/thermal"
-	"mindful/internal/wearable"
 )
 
 // Observability flags, honored by every subcommand: any run can snapshot
@@ -91,52 +88,17 @@ func writeObsOutputs() error {
 	return nil
 }
 
-// runObserve drives every obs-wired subsystem into one registry: the
-// default implant streams frames through an instrumented QAM modem and an
-// AWGN channel into the wearable receiver, then the thermal solver checks
-// the safety limit and the scheduler prices the matching DNN — so the
-// snapshot spans the implant, the link, and both solvers.
+// runObserve drives every obs-wired subsystem into one registry: one
+// fleet.Run at the default operating point (implants streaming frames
+// over 16-QAM and AWGN into their wearable receivers) with the observer
+// and the per-stage flight recorder attached, then the thermal solver
+// checks the safety limit and the scheduler prices the matching DNN — so
+// the snapshot spans the fleet pipeline and both solvers.
 func runObserve() error {
-	const ticks = 2000
-	cfg := implant.DefaultConfig()
-	im, err := implant.New(cfg)
-	if err != nil {
-		return err
-	}
-	im.SetObserver(observer)
-
-	modem, err := comm.NewModem(comm.NewQAM(4))
-	if err != nil {
-		return err
-	}
-	om := comm.ObserveModem(modem, observer)
-	// 13 dB Eb/N0 sits on the 16-QAM waterfall: most frames survive, a
-	// visible fraction carries bit errors the receiver's CRC rejects.
-	ch := comm.NewAWGNChannel(math.Pow(10, 13.0/10), 1)
-
-	rx, err := wearable.NewReceiver(0)
-	if err != nil {
-		return err
-	}
-	rx.SetObserver(observer)
-
-	var rejected int64
-	im.OnFrame(func(buf []byte) {
-		sent := bytesToBits(buf)
-		syms, merr := om.Modulate(sent)
-		if merr != nil {
-			err = merr
-			return
-		}
-		got := om.Demodulate(ch.Transmit(syms))
-		om.CountErrors(sent, got)
-		if _, rerr := rx.Receive(bitsToBytes(got)); rerr != nil {
-			rejected++
-		}
-	})
-	if rerr := im.Run(ticks); rerr != nil {
-		return rerr
-	}
+	cfg := fleet.DefaultConfig()
+	cfg.Observer = observer
+	cfg.StageTiming = obs.NewStageTimer()
+	agg, err := fleet.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -154,51 +116,30 @@ func runObserve() error {
 	// (main wires sched's package-level observer; do it here too so the
 	// runner works standalone, e.g. under test.)
 	sched.SetObserver(observer)
-	model, err := dnnmodel.MLP().Scale(cfg.Neural.Channels)
+	model, err := dnnmodel.MLP().Scale(cfg.Channels)
 	if err != nil {
 		return err
 	}
-	bound, err := sched.Best(model, sched.DeadlineFor(cfg.Neural.SampleRate), mac.NanGate45)
+	bound, err := sched.Best(model, sched.DeadlineFor(cfg.SampleRate), mac.NanGate45)
 	if err != nil {
 		return err
 	}
 
-	st := im.Stats()
-	rs := rx.Stats()
 	tb := report.NewTable("Observability: instrumented end-to-end run",
 		"Stage", "Result")
-	tb.AddRow("implant", fmt.Sprintf("%d ticks, %d frames, %d bits", st.Ticks, st.Frames, st.BitsSent))
-	tb.AddRow("modem", fmt.Sprintf("%s over AWGN, %d frames rejected downstream", modem.Name(), rejected))
-	tb.AddRow("wearable", fmt.Sprintf("%d accepted, %d corrupt, %d lost (FER %.4f)",
-		rs.Accepted, rs.Corrupted, rs.LostSeq, rs.FrameErrorRate()))
+	tb.AddRow("fleet", fmt.Sprintf("%d implants × %d ticks, %d frames, %d bits",
+		agg.Implants, agg.Ticks, agg.Frames, agg.BitsSent))
+	tb.AddRow("link", fmt.Sprintf("%s over AWGN at %g dB: BER %.3g, FER %.3g",
+		cfg.Modulation.Name(), cfg.EbN0dB, agg.BER, agg.FER))
+	tb.AddRow("wearable", fmt.Sprintf("%d accepted, %d corrupt, %d lost",
+		agg.Accepted, agg.Corrupt, agg.LostSeq))
 	tb.AddRow("thermal", fmt.Sprintf("rise %.2f °C at the 40 mW/cm² limit", profile.SurfaceRise()))
 	tb.AddRow("sched", fmt.Sprintf("%d MAC units lower bound (%s)", bound.MACHW, model.Name))
 	fmt.Print(tb.String())
 	fmt.Println()
-	fmt.Printf("Registry holds the snapshot; rerun with -metrics/-trace to export it,\n")
-	fmt.Printf("or -debug-addr to serve /metrics, /trace and pprof live.\n")
+	fmt.Print(stageTable("Stage timing: attributed ns/frame", cfg.StageTiming.Stats()).String())
+	fmt.Println()
+	fmt.Printf("Registry holds the snapshot; rerun with -metrics to export it,\n")
+	fmt.Printf("or -debug-addr to serve /metrics and pprof live.\n")
 	return nil
-}
-
-// bytesToBits unpacks bytes MSB-first into the modem's 0/1-per-element
-// bit representation.
-func bytesToBits(buf []byte) []byte {
-	bits := make([]byte, 0, len(buf)*8)
-	for _, b := range buf {
-		for i := 7; i >= 0; i-- {
-			bits = append(bits, (b>>i)&1)
-		}
-	}
-	return bits
-}
-
-// bitsToBytes packs 0/1 elements back into bytes MSB-first.
-func bitsToBytes(bits []byte) []byte {
-	out := make([]byte, len(bits)/8)
-	for i, b := range bits {
-		if b != 0 {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return out
 }

@@ -18,7 +18,6 @@ import (
 	"mindful/internal/fixed"
 	"mindful/internal/mac"
 	"mindful/internal/mathx"
-	"mindful/internal/obs"
 	"mindful/internal/units"
 )
 
@@ -128,53 +127,6 @@ type Simulator struct {
 
 	cycles uint64
 	energy float64 // joules
-
-	o simObs
-}
-
-// simObs holds the simulator's pre-resolved metric handles; the zero value
-// short-circuits all hooks.
-type simObs struct {
-	attached    bool
-	cycles      *obs.Counter
-	inferences  *obs.Counter
-	energy      *obs.Gauge
-	utilization *obs.Gauge
-}
-
-// SetObserver wires the simulator to an observability sink: cycle and
-// inference counters, a cumulative-energy gauge and a PE-array utilization
-// gauge (active MAC slots over HW·passes). Pass nil to detach.
-func (s *Simulator) SetObserver(o *obs.Observer) {
-	if o == nil {
-		s.o = simObs{}
-		return
-	}
-	m := o.Metrics
-	lbl := obs.Label{Key: "node", Value: s.cfg.Node.Name}
-	s.o = simObs{
-		attached:    true,
-		cycles:      m.Counter("accel_cycles_total", lbl),
-		inferences:  m.Counter("accel_inferences_total", lbl),
-		energy:      m.Gauge("accel_energy_joules", lbl),
-		utilization: m.Gauge("accel_utilization", lbl),
-	}
-	m.Help("accel_cycles_total", "MAC-array cycles simulated.")
-	m.Help("accel_inferences_total", "Layer inferences executed.")
-	m.Help("accel_energy_joules", "Cumulative active-MAC energy.")
-	m.Help("accel_utilization", "Active MAC slots over HW×passes of the configured layer.")
-}
-
-// recordRun accounts one inference's cycles, energy and utilization.
-func (s *Simulator) recordRun(cycles uint64) {
-	if !s.o.attached {
-		return
-	}
-	s.o.cycles.Add(int64(cycles))
-	s.o.inferences.Inc()
-	s.o.energy.Set(s.energy)
-	passes := mathx.CeilDiv(s.cfg.Ops, s.cfg.HW)
-	s.o.utilization.Set(float64(s.cfg.Ops) / float64(passes*s.cfg.HW))
 }
 
 // NewSimulator builds a simulator for cfg with the given weight matrix
@@ -229,7 +181,6 @@ func (s *Simulator) Run(input []fixed.Value) ([]fixed.Value, error) {
 		// some PEs idle.
 		s.cycles += uint64(s.cfg.Seq)
 	}
-	s.recordRun(uint64(passes) * uint64(s.cfg.Seq))
 	return out, nil
 }
 
@@ -262,7 +213,6 @@ func (s *Simulator) RunExact(input []fixed.Value) ([]float64, error) {
 		}
 		s.cycles += uint64(s.cfg.Seq)
 	}
-	s.recordRun(uint64(passes) * uint64(s.cfg.Seq))
 	return out, nil
 }
 

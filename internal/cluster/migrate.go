@@ -24,6 +24,12 @@ import (
 //  4. the paused source copy is deleted;
 //  5. only then does the target resume.
 //
+// Deleting the source flushes its subscribers' queues before their
+// EOF, and the target holds what it publishes until the first
+// subscriber re-attaches (serve's handoff rule), so the first
+// subscriber to re-dial the front tier after its EOF reads every tick
+// exactly once, as long as no queue overflowed on either side.
+//
 // Between 1 and 5 nothing executes — that window is the migration
 // blackout, measured here (pause→resume wall time) and by the cluster
 // harness from the subscriber side (last frame before the move → first

@@ -167,12 +167,11 @@ func TestConcurrentMigrations(t *testing.T) {
 // front tier keeps receiving after its session moves shards by
 // re-dialing the front tier — the client-side half of the blackout
 // protocol. The migration is driven paused (pause → migrate → re-attach
-// → resume), the shape where gapless delivery is actually guaranteed:
-// the old shard's stream flushes and closes at the pause tick, and the
-// target publishes from the next tick on. A migration of a running
-// session instead trades frames published during the subscriber's
-// reconnect window for zero coordination — live streams are
-// deliberately at-most-once.
+// → resume): the old shard's stream flushes and closes at the pause
+// tick, and the target publishes from the next tick on. A running
+// session's migration is gapless too: the target holds what it
+// publishes for the first subscriber to re-attach (serve's handoff
+// rule).
 func TestSubscriberFollowsMigration(t *testing.T) {
 	c := startCluster(t, 2, serve.Config{TickInterval: time.Millisecond})
 	cfg := testSessionConfig()

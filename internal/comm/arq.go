@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mindful/internal/obs"
 	"mindful/internal/units"
 )
 
@@ -106,8 +105,6 @@ type ARQ struct {
 	cfg     ARQConfig
 	retries int
 	stats   ARQStats
-
-	retransmits, recovered, failures *obs.Counter
 }
 
 // NewARQ returns a recovery loop for the config.
@@ -116,22 +113,6 @@ func NewARQ(cfg ARQConfig) (*ARQ, error) {
 		return nil, err
 	}
 	return &ARQ{cfg: cfg, retries: cfg.EffectiveRetries()}, nil
-}
-
-// SetObserver wires the loop to an observability sink: retransmission,
-// recovery and failure counters. Pass nil to detach.
-func (a *ARQ) SetObserver(o *obs.Observer) {
-	if o == nil {
-		a.retransmits, a.recovered, a.failures = nil, nil, nil
-		return
-	}
-	m := o.Metrics
-	a.retransmits = m.Counter("comm_arq_retransmits_total")
-	a.recovered = m.Counter("comm_arq_frames_recovered_total")
-	a.failures = m.Counter("comm_arq_frames_failed_total")
-	m.Help("comm_arq_retransmits_total", "Extra transmissions beyond the first attempt.")
-	m.Help("comm_arq_frames_recovered_total", "Frames delivered only via retransmission.")
-	m.Help("comm_arq_frames_failed_total", "Frames abandoned after the retry budget.")
 }
 
 // Config returns the loop's configuration.
@@ -156,19 +137,16 @@ func (a *ARQ) Send(frame []byte, airBits int, try Attempt) (attempts int, delive
 			a.stats.Delivered++
 			if attempts > 1 {
 				a.stats.Recovered++
-				a.recovered.Inc()
 			}
 			return attempts, true
 		}
 		if attempts > a.retries {
 			a.stats.Failed++
-			a.failures.Inc()
 			return attempts, false
 		}
 		a.stats.NACKs++
 		a.stats.Retransmits++
 		a.stats.RetransmitBits += int64(airBits)
-		a.retransmits.Inc()
 	}
 }
 

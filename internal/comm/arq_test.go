@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mindful/internal/obs"
 	"mindful/internal/units"
 )
 
@@ -125,30 +124,6 @@ func TestARQValidate(t *testing.T) {
 	if _, err := NewARQ(ARQConfig{SlotTime: -time.Second}); err == nil {
 		t.Error("negative slot time accepted")
 	}
-}
-
-func TestARQObserver(t *testing.T) {
-	a, err := NewARQ(ARQConfig{MaxRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New()
-	a.SetObserver(o)
-	calls := 0
-	a.Send(nil, 8, func([]byte) bool { calls++; return calls == 2 }) // recovered on retry
-	a.Send(nil, 8, func([]byte) bool { return false })               // fails
-	m := o.Metrics
-	if v := m.Counter("comm_arq_frames_recovered_total").Value(); v != 1 {
-		t.Errorf("recovered counter %d, want 1", v)
-	}
-	if v := m.Counter("comm_arq_frames_failed_total").Value(); v != 1 {
-		t.Errorf("failed counter %d, want 1", v)
-	}
-	if v := m.Counter("comm_arq_retransmits_total").Value(); v != 2 {
-		t.Errorf("retransmit counter %d, want 2", v)
-	}
-	a.SetObserver(nil)
-	a.Send(nil, 8, func([]byte) bool { return true }) // must not panic detached
 }
 
 // TestARQEndToEnd drives the recovery loop through the real frame path: a

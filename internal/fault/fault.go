@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"mindful/internal/detrand"
-	"mindful/internal/obs"
 )
 
 // Profile describes a fault environment at unit intensity. The zero value
@@ -164,8 +163,6 @@ type BurstLink struct {
 	bad   bool
 	rng   *detrand.Rand
 	stats LinkStats
-
-	frames, drops, flips *obs.Counter
 }
 
 // NewBurstLink returns a seeded burst link for the profile's channel
@@ -202,22 +199,6 @@ func RestoreBurstLink(p Profile, st BurstLinkState) (*BurstLink, error) {
 	return l, nil
 }
 
-// SetObserver wires the link to an observability sink: transported and
-// dropped frame counters plus injected bit flips. Pass nil to detach.
-func (l *BurstLink) SetObserver(o *obs.Observer) {
-	if o == nil {
-		l.frames, l.drops, l.flips = nil, nil, nil
-		return
-	}
-	m := o.Metrics
-	l.frames = m.Counter("fault_link_frames_total")
-	l.drops = m.Counter("fault_link_frames_dropped_total")
-	l.flips = m.Counter("fault_link_bit_flips_total")
-	m.Help("fault_link_frames_total", "Frames offered to the burst link.")
-	m.Help("fault_link_frames_dropped_total", "Frames lost whole by the burst link.")
-	m.Help("fault_link_bit_flips_total", "Bit errors injected by the burst link.")
-}
-
 // Transport returns a possibly-corrupted copy of buf, or nil when the
 // frame is lost outright. buf itself is never modified.
 func (l *BurstLink) Transport(buf []byte) []byte {
@@ -242,11 +223,9 @@ const linkDraws = 256
 // stream position after a frame is the one per-bit Float64 calls leave.
 func (l *BurstLink) AppendTransport(dst, buf []byte) []byte {
 	l.stats.Frames++
-	l.frames.Inc()
 	p := &l.p
 	if p.FrameLoss > 0 && l.rng.Float64() < p.FrameLoss {
 		l.stats.DroppedFrames++
-		l.drops.Inc()
 		return nil
 	}
 	base := len(dst)
@@ -296,7 +275,6 @@ func (l *BurstLink) AppendTransport(dst, buf []byte) []byte {
 	l.bad = bad
 	l.stats.BadBits += badBits
 	l.stats.BitFlips += flips
-	l.flips.Add(flips)
 	return dst
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-
-	"mindful/internal/obs"
 )
 
 func TestProfileScale(t *testing.T) {
@@ -164,22 +162,6 @@ func TestBurstLinkFrameLoss(t *testing.T) {
 	if st.Frames != 400 || st.DroppedFrames != int64(dropped) {
 		t.Errorf("stats %+v disagree with observed %d/400", st, dropped)
 	}
-}
-
-func TestBurstLinkObserver(t *testing.T) {
-	p := Profile{FrameLoss: 1}
-	l, err := NewBurstLink(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New()
-	l.SetObserver(o)
-	l.Transport([]byte{0xFF})
-	if v := o.Metrics.Counter("fault_link_frames_dropped_total").Value(); v != 1 {
-		t.Errorf("dropped counter = %d, want 1", v)
-	}
-	l.SetObserver(nil)
-	l.Transport([]byte{0xFF}) // must not panic detached
 }
 
 func TestElectrodeBank(t *testing.T) {

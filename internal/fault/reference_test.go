@@ -6,23 +6,20 @@ import (
 	"testing"
 
 	"mindful/internal/detrand"
-	"mindful/internal/obs"
 )
 
 // This file holds the per-bit Gilbert–Elliott walk BurstLink ran before
 // its uniforms were drawn in bulk, as the test oracle the production
 // AppendTransport is pinned against: identical bytes, RNG position,
-// channel state, accounting and observer counters after every frame.
+// channel state and accounting after every frame.
 
 // refAppendTransport is the per-bit walk: one Float64 call for each
 // state transition and one for each error draw, straight from the
 // link's generator.
 func refAppendTransport(l *BurstLink, dst, buf []byte) []byte {
 	l.stats.Frames++
-	l.frames.Inc()
 	if l.p.FrameLoss > 0 && l.rng.Float64() < l.p.FrameLoss {
 		l.stats.DroppedFrames++
-		l.drops.Inc()
 		return nil
 	}
 	base := len(dst)
@@ -47,17 +44,15 @@ func refAppendTransport(l *BurstLink, dst, buf []byte) []byte {
 		if ber > 0 && l.rng.Float64() < ber {
 			dst[base+i/8] ^= 1 << (7 - i%8)
 			l.stats.BitFlips++
-			l.flips.Inc()
 		}
 	}
 	return dst
 }
 
-// linkTwin is a production link and its oracle twin, each with its own
-// observer, built from the same profile and state.
+// linkTwin is a production link and its oracle twin, built from the same
+// profile and state.
 type linkTwin struct {
-	got, ref       *BurstLink
-	gotObs, refObs *obs.Observer
+	got, ref *BurstLink
 }
 
 func newLinkTwin(t testing.TB, p Profile, st BurstLinkState) *linkTwin {
@@ -70,14 +65,12 @@ func newLinkTwin(t testing.TB, p Profile, st BurstLinkState) *linkTwin {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw := &linkTwin{got: got, ref: ref, gotObs: obs.New(), refObs: obs.New()}
-	got.SetObserver(tw.gotObs)
-	ref.SetObserver(tw.refObs)
-	return tw
+	return &linkTwin{got: got, ref: ref}
 }
 
 // step transports one frame through both links and fails on the first
-// difference in output, snapshot or observer counters.
+// difference in output or snapshot (RNG position, channel state and
+// LinkStats).
 func (tw *linkTwin) step(t testing.TB, frame []byte) {
 	t.Helper()
 	orig := append([]byte(nil), frame...)
@@ -92,11 +85,6 @@ func (tw *linkTwin) step(t testing.TB, frame []byte) {
 	}
 	if g, w := tw.got.Snapshot(), tw.ref.Snapshot(); g != w {
 		t.Fatalf("%+v: snapshot %+v, oracle %+v", tw.got.p, g, w)
-	}
-	for _, name := range []string{"fault_link_frames_total", "fault_link_frames_dropped_total", "fault_link_bit_flips_total"} {
-		if g, w := tw.gotObs.Metrics.Counter(name).Value(), tw.refObs.Metrics.Counter(name).Value(); g != w {
-			t.Fatalf("%+v: %s = %d, oracle %d", tw.got.p, name, g, w)
-		}
 	}
 }
 
@@ -183,7 +171,6 @@ func TestAppendTransportZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetObserver(obs.New())
 	frame := bytes.Repeat([]byte{0xA5}, 600)
 	dst := l.AppendTransport(nil, frame)
 	if allocs := testing.AllocsPerRun(100, func() {

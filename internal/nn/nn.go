@@ -447,6 +447,25 @@ func RandDense(rng *detrand.Rand, in, out int, act Activation) *Dense {
 	return d
 }
 
+// RandomMLP builds a dense network with Xavier-uniform random weights
+// drawn from one seeded stream: sizes lists the layer widths from input
+// to output, ReLU between hidden layers and a linear output.
+func RandomMLP(seed int64, sizes ...int) (*Network, error) {
+	if len(sizes) < 2 {
+		return nil, fmt.Errorf("nn: need at least input and output sizes, got %d", len(sizes))
+	}
+	rng := detrand.New(seed)
+	layers := make([]Layer, 0, len(sizes)-1)
+	for i := 0; i+1 < len(sizes); i++ {
+		act := ReLU
+		if i+2 == len(sizes) {
+			act = Identity
+		}
+		layers = append(layers, RandDense(rng, sizes[i], sizes[i+1], act))
+	}
+	return NewNetwork(1, sizes[0], layers...)
+}
+
 // RandConv1D builds a convolution with Xavier-uniform random kernels.
 func RandConv1D(rng *detrand.Rand, inCh, outCh, k, stride int, act Activation) *Conv1D {
 	limit := math.Sqrt(6 / float64(inCh*k+outCh*k))

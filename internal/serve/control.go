@@ -313,6 +313,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: imported tick %d does not match envelope tick %d", info.Tick, env.Tick))
 		return
 	}
+	sess.holdUntilAttach()
 	s.idemRecord(token, sess.ID)
 	s.event("session_import", sess.ID, env.Key,
 		obs.EventAttr{Key: "tick", Val: float64(info.Tick)})

@@ -487,7 +487,7 @@ func (s *Server) DeleteSession(id string) error {
 	}
 	s.event("session_delete", id, "")
 	sess.halt()
-	sess.release()
+	sess.release(true)
 	if s.mSessions != nil {
 		s.mSessions.Add(-1)
 	}
@@ -553,7 +553,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				snapErr = err
 			}
 		}
-		sess.release()
+		sess.release(true)
 		if s.mSessions != nil {
 			s.mSessions.Add(-1)
 		}
@@ -600,7 +600,7 @@ func (s *Server) Kill() {
 	s.httpSrv.Close() // closes the control listener and every live conn
 	for _, sess := range sessions {
 		sess.halt()
-		sess.release()
+		sess.release(false)
 		if s.mSessions != nil {
 			s.mSessions.Add(-1)
 		}

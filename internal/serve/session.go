@@ -78,6 +78,10 @@ type Session struct {
 
 	subMu sync.Mutex
 	subs  map[*subscriber]struct{}
+	// holds keep what an imported session publishes until its first
+	// subscriber of each mode claims it (index modeIndex: frames,
+	// decoded); nil when nothing is held.
+	holds [2]*subscriber
 
 	done chan struct{} // closed when the tick loop exits
 }
@@ -254,7 +258,8 @@ func (s *Session) publish(tick int, data []byte, accepted bool) {
 	now := time.Now().UnixNano()
 	s.lastActive.Store(now)
 	s.subMu.Lock()
-	if len(s.subs) == 0 {
+	hold := s.holds[modeIndex(false)]
+	if len(s.subs) == 0 && hold == nil {
 		s.subMu.Unlock()
 		return
 	}
@@ -267,6 +272,9 @@ func (s *Session) publish(tick int, data []byte, accepted bool) {
 		publishNs: now,
 		flags:     flags,
 		data:      append([]byte(nil), data...), // shared, read-only
+	}
+	if hold != nil {
+		hold.push(rec)
 	}
 	for sub := range s.subs {
 		if !sub.decoded {
@@ -286,7 +294,8 @@ func (s *Session) publishDecoded(tick int, estimate []float64, concealed int) {
 	now := time.Now().UnixNano()
 	s.lastActive.Store(now)
 	s.subMu.Lock()
-	if len(s.subs) == 0 {
+	hold := s.holds[modeIndex(true)]
+	if len(s.subs) == 0 && hold == nil {
 		s.subMu.Unlock()
 		return
 	}
@@ -304,6 +313,9 @@ func (s *Session) publishDecoded(tick int, estimate []float64, concealed int) {
 		flags:     flags,
 		data:      data,
 	}
+	if hold != nil {
+		hold.push(rec)
+	}
 	for sub := range s.subs {
 		if sub.decoded {
 			sub.push(rec)
@@ -312,18 +324,53 @@ func (s *Session) publishDecoded(tick int, estimate []float64, concealed int) {
 	s.subMu.Unlock()
 }
 
-// attach registers a subscriber; it fails once the session can publish
-// nothing more.
+// holdUntilAttach makes the session keep what it publishes for its
+// first subscriber of each mode (see the handoff rule in stream.go).
+// The migration target's import calls it while the session is still
+// paused, so nothing published is missed.
+func (s *Session) holdUntilAttach() {
+	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	s.holds[modeIndex(false)] = newSubscriber(s, nil, s.srv.queueDepth(), 0)
+	if s.hasDecoder() {
+		s.holds[modeIndex(true)] = newSubscriber(s, nil, s.srv.queueDepth(), 0)
+	}
+}
+
+// modeIndex maps a stream mode to its holds slot.
+func modeIndex(decoded bool) int {
+	if decoded {
+		return 1
+	}
+	return 0
+}
+
+// attach registers a subscriber, handing it the mode's held records if
+// any. It fails once the session can publish nothing more, except that
+// a done session still accepts the subscriber that claims its held
+// records, whose stream then ends after them. The state check and the
+// registration share one mu hold, so a session finishing concurrently
+// either refuses the subscriber or finishes it with the rest.
 func (s *Session) attach(sub *subscriber) error {
 	s.mu.Lock()
-	st := s.state
-	s.mu.Unlock()
-	if st == StateDone || st == StateStopped {
-		return fmt.Errorf("serve: session %s is %s", s.ID, st)
-	}
+	defer s.mu.Unlock()
 	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	mode := modeIndex(sub.decoded)
+	hold := s.holds[mode]
+	switch {
+	case s.state == StateStopped, s.state == StateDone && hold == nil:
+		return fmt.Errorf("serve: session %s is %s", s.ID, s.state)
+	case s.state == StateDone:
+		sub.finished = true // nothing more will be published
+	}
+	if hold != nil {
+		// Take over the held queue and its drop count. The hold is only
+		// pushed under subMu, and sub is not yet visible to its writer.
+		sub.ring, sub.head, sub.count, sub.dropped = hold.ring, hold.head, hold.count, hold.dropped
+		s.holds[mode] = nil
+	}
 	s.subs[sub] = struct{}{}
-	s.subMu.Unlock()
 	s.srv.obsSubscribers(+1)
 	return nil
 }
@@ -459,16 +506,24 @@ func (s *Session) halt() {
 	<-s.done
 }
 
-// release closes every subscriber and the pipeline. halt must have been
-// called first.
-func (s *Session) release() {
+// release ends every subscriber's stream and closes the pipeline. halt
+// must have been called first. With flush, each subscriber first
+// receives what is queued for it, then EOF — the delete, migration and
+// drain path; without, every stream is cut at once (Kill). Unclaimed
+// held records are discarded.
+func (s *Session) release(flush bool) {
 	s.subMu.Lock()
 	subs := make([]*subscriber, 0, len(s.subs))
 	for sub := range s.subs {
 		subs = append(subs, sub)
 	}
+	s.holds = [2]*subscriber{}
 	s.subMu.Unlock()
 	for _, sub := range subs {
+		if flush {
+			sub.finish() // the writer detaches once the queue is flushed
+			continue
+		}
 		sub.close()
 		s.detach(sub, false)
 	}

@@ -19,10 +19,10 @@ import (
 //
 // where mode is "frames" (default: raw received frame bytes) or
 // "decoded" (the session's decoder output — requires a session created
-// with a decoder), and then reads records until the server closes the
-// stream (session finished or deleted) or evicts it for stalling. A
-// gateway that does not host the session but can resolve its owner
-// (Config.Redirect — the cluster front tier) answers
+// with a decoder), and then reads records until the server ends the
+// stream (see end of stream below). A gateway that does not host the
+// session but can resolve its owner (Config.Redirect — the cluster
+// front tier) answers
 //
 //	MOVED <stream-addr> <session-id>\n
 //
@@ -39,8 +39,24 @@ import (
 // Backpressure is explicit: every subscriber owns a bounded queue.
 // When the queue is full the oldest record is dropped and counted
 // (DroppedFrames); a subscriber whose connection blocks a write longer
-// than the stall timeout is evicted. The publishing tick loop never
-// waits on either.
+// than the stall timeout is evicted. The writer sends everything queued
+// at each wake-up in one write. The publishing tick loop never waits on
+// any of this.
+//
+// End of stream. When the session finishes, is deleted (a migration
+// deletes its source copy) or the gateway drains, the subscriber first
+// receives every record already queued for it and then EOF; each write
+// is still bounded by the stall timeout. Only an eviction, a write
+// error or Kill (a gateway dying) cuts a stream with records unsent.
+//
+// Handoff. A session imported from another gateway (the migration
+// target) keeps what it publishes until its first subscriber of each
+// mode attaches — at most the queue depth, the oldest dropped and
+// counted — and that subscriber receives the held records first. While
+// the held records are unclaimed, a done imported session still accepts
+// that one subscriber and ends its stream after them. With the source's
+// flush, a subscriber that re-dials after its old stream's EOF reads
+// every tick exactly once across a migration.
 
 // Record flags.
 const (
@@ -87,8 +103,8 @@ type subscriber struct {
 	head     int
 	count    int
 	dropped  int64
-	closed   bool // stop immediately, queue abandoned
-	finished bool // flush the queue, then close
+	closed   bool // stop immediately, queue abandoned (Kill, write error)
+	finished bool // flush the queue, then close (session done or deleted)
 }
 
 func newSubscriber(sess *Session, conn net.Conn, depth int, stall time.Duration) *subscriber {
@@ -122,25 +138,27 @@ func (s *subscriber) push(rec record) {
 	s.mu.Unlock()
 }
 
-// pop blocks until a record is available or the subscriber is done. The
-// second result is false when the writer should exit; drain reports
-// whether the queue was flushed (clean finish) rather than abandoned.
-func (s *subscriber) pop() (record, bool) {
+// drain blocks until records are queued or the subscriber is done, then
+// moves every queued record, oldest first, onto batch. The second result
+// is false when the writer should exit: closed (queue abandoned), or
+// finished with the queue flushed.
+func (s *subscriber) drain(batch []record) ([]record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed {
-			return record{}, false
+			return batch, false
 		}
 		if s.count > 0 {
-			rec := s.ring[s.head]
-			s.ring[s.head] = record{} // release the shared frame bytes
-			s.head = (s.head + 1) % len(s.ring)
-			s.count--
-			return rec, true
+			for ; s.count > 0; s.count-- {
+				batch = append(batch, s.ring[s.head])
+				s.ring[s.head] = record{}
+				s.head = (s.head + 1) % len(s.ring)
+			}
+			return batch, true
 		}
 		if s.finished {
-			return record{}, false
+			return batch, false
 		}
 		s.cond.Wait()
 	}
@@ -164,7 +182,8 @@ func (s *subscriber) droppedCount() int64 {
 	return s.dropped
 }
 
-// finish asks the writer to flush the queue and close cleanly.
+// finish asks the writer to flush the queue and close cleanly: the end
+// of a session that finished, was deleted or was drained.
 func (s *subscriber) finish() {
 	s.mu.Lock()
 	s.finished = true
@@ -172,7 +191,8 @@ func (s *subscriber) finish() {
 	s.mu.Unlock()
 }
 
-// close stops the writer immediately, abandoning queued records.
+// close stops the writer immediately, abandoning queued records — the
+// abrupt end Kill stands in for a dying gateway with.
 func (s *subscriber) close() {
 	s.mu.Lock()
 	s.closed = true
@@ -181,19 +201,25 @@ func (s *subscriber) close() {
 	s.conn.Close()
 }
 
-// writeLoop drains the queue onto the connection. A write that misses
-// the stall deadline — or any other write error — evicts the
+// writeLoop drains the queue onto the connection: each wake-up takes
+// every queued record and writes them with one Write. A write that
+// misses the stall deadline — or any other write error — evicts the
 // subscriber; the publishing side is never slowed either way.
 func (s *subscriber) writeLoop() {
 	defer s.conn.Close()
+	var batch []record
 	buf := make([]byte, 0, 512)
 	for {
-		rec, ok := s.pop()
+		var ok bool
+		batch, ok = s.drain(batch[:0])
 		if !ok {
 			s.sess.detach(s, false)
 			return
 		}
-		buf = appendRecord(buf[:0], rec)
+		buf = buf[:0]
+		for _, rec := range batch {
+			buf = appendRecord(buf, rec)
+		}
 		if s.stall > 0 {
 			s.conn.SetWriteDeadline(time.Now().Add(s.stall))
 		}
@@ -211,9 +237,13 @@ func (s *subscriber) writeLoop() {
 			s.sess.detach(s, evicted)
 			return
 		}
-		// End-to-end delivery latency: publication wall clock → the write
-		// completing on this subscriber's connection.
-		s.sess.srv.observeDelivery(time.Now().UnixNano() - rec.publishNs)
+		// End-to-end delivery latency of each record: publication wall
+		// clock → the write completing on this subscriber's connection.
+		now := time.Now().UnixNano()
+		for i := range batch {
+			s.sess.srv.observeDelivery(now - batch[i].publishNs)
+			batch[i] = record{} // release the shared frame bytes
+		}
 	}
 }
 

@@ -24,14 +24,15 @@
 //     constant-Eb radio, with live power and safety accounting
 //     (NewImplant).
 //
-// The facade re-exports these layers for the examples and the two small
-// CLIs (cmd/bcisim, cmd/socdb), and nothing more: a name stays here only
-// while one of those programs or this package's tests uses it. The
-// systems layers built on top — fleet simulation, the serving gateway,
-// the sharded cluster, chaos hardening and drift — are reached through
-// the cmd/mindful tool, which also regenerates every table and figure of
-// the paper's evaluation; see DESIGN.md and EXPERIMENTS.md for the
-// experiment index.
+// The facade re-exports these layers for the examples, and nothing more:
+// a name stays here only while an example or this package's tests uses
+// it, or a remaining signature needs its type. The one command,
+// cmd/mindful, imports the internal packages directly; it runs the
+// virtual implant (mindful implant), queries the design database
+// (mindful soc), regenerates every table and figure of the paper's
+// evaluation, and drives the systems layers built on top — fleet
+// simulation, the serving gateway, the sharded cluster, chaos hardening
+// and drift. See DESIGN.md and EXPERIMENTS.md for the experiment index.
 package mindful
 
 import (
@@ -78,7 +79,6 @@ type (
 // Quantity constructors.
 var (
 	Milliwatts        = units.Milliwatts
-	Microwatts        = units.Microwatts
 	SquareMillimetres = units.SquareMillimetres
 	MegabitsPerSecond = units.MegabitsPerSecond
 	Kilohertz         = units.Kilohertz
@@ -223,21 +223,7 @@ func DefaultADC() ADC { return neural.DefaultADC() }
 // sizes lists the layer widths from input to output (ReLU between hidden
 // layers, linear output). Useful for driving the virtual implant's
 // computation-centric dataflow without a training pipeline.
-func NewRandomMLP(seed int64, sizes ...int) (*Network, error) {
-	if len(sizes) < 2 {
-		return nil, fmt.Errorf("mindful: need at least input and output sizes, got %d", len(sizes))
-	}
-	rng := detrand.New(seed)
-	layers := make([]nn.Layer, 0, len(sizes)-1)
-	for i := 0; i+1 < len(sizes); i++ {
-		act := nn.ReLU
-		if i+2 == len(sizes) {
-			act = nn.Identity
-		}
-		layers = append(layers, nn.RandDense(rng, sizes[i], sizes[i+1], act))
-	}
-	return nn.NewNetwork(1, sizes[0], layers...)
-}
+func NewRandomMLP(seed int64, sizes ...int) (*Network, error) { return nn.RandomMLP(seed, sizes...) }
 
 // FitKalman trains a Kalman decoder from (state, observation) pairs.
 func FitKalman(states, obs [][]float64) (*KalmanDecoder, error) {
@@ -271,12 +257,10 @@ type (
 	Dataflow = implant.Dataflow
 )
 
-// The implant dataflows: Fig. 3's pair plus the reduced-rate strategies.
+// The implant dataflows of Fig. 3.
 const (
 	CommCentric    = implant.CommCentric
 	ComputeCentric = implant.ComputeCentric
-	FeatureCentric = implant.FeatureCentric
-	SpikeCentric   = implant.SpikeCentric
 )
 
 // DefaultImplantConfig returns a 128-channel communication-centric implant.
@@ -316,13 +300,6 @@ type Observer = obs.Observer
 // NewObserver returns an observer with a fresh registry and a tracer of
 // the default capacity.
 func NewObserver() *Observer { return obs.New() }
-
-// ServeDebug serves /metrics, /metrics.json, /trace, expvar and
-// net/http/pprof for o on addr ("host:port"; port 0 picks one). It returns
-// the bound address and a stop function.
-func ServeDebug(addr string, o *Observer) (string, func() error, error) {
-	return obs.ServeDebug(addr, o)
-}
 
 // FrontEnd is one channel's NEF-characterized amplifier + ADC chain (the
 // physical basis of linear sensing-power scaling).
